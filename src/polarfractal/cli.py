@@ -56,6 +56,16 @@ def _parse_depths(text: str) -> list[int]:
         raise _UsageError(f"bad integer list {text!r}") from exc
 
 
+def _thread_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="polarfractal",
                      description="Fractal structure of polar and Reed-Muller "
@@ -102,7 +112,7 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", type=int,
                    help="Monte Carlo trials for depths beyond 24")
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("selfsim", help="self-similarity order/implication checks")
@@ -128,7 +138,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int)
     p.add_argument("--min-nonneg", action="store_true",
                    help="report the never-negative walk fraction instead")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("entropy", help="entropy-count dimension witness")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import TrivialPeriodError, UnresolvedError
 from .expansions import is_dyadic, real_to_expansion
-from .polarization import apply_path, apply_path_array
+from .polarization import _check_bits, apply_path, apply_path_array
 
 DEFAULT_SCAN_RESOLUTION = 1 << 12
 MIN_SCAN_RESOLUTION = 1 << 10
@@ -30,6 +30,9 @@ MIN_SCAN_RESOLUTION = 1 << 10
 # Half-width of the band around theta where a BEC is not claimed either
 # way; matches the bisection tolerance.
 NON_POLARIZED_BAND = 1e-10
+
+# Entries kept by the threshold cache (least recently used evicted first).
+_THRESHOLD_CACHE_SIZE = 1 << 12
 
 _STABILITY_PROBE = 1e-6
 _ROOT_MERGE_TOL = 1e-9
@@ -78,17 +81,16 @@ class ThresholdResult:
     multiplicity_flag: bool
 
 
-def _check_bits(bits: Sequence[int]) -> tuple[int, ...]:
-    out = tuple(int(b) for b in bits)
-    if any(b not in (0, 1) for b in out):
-        raise ValueError(f"bits must be 0/1, got {bits!r}")
-    return out
-
-
 def _path_value_and_derivative(z: float, bits: Sequence[int]) -> tuple[float, float]:
-    """Forward-mode evaluation of (p(z), p'(z)) along the bit path."""
+    """Forward-mode evaluation of (p(z), p'(z)) along the bit path.
+
+    Stops once v is exactly 0.0 or 1.0 and dv is exactly 0.0: both are
+    then fixed by every remaining step.
+    """
     v, dv = z, 1.0
     for b in bits:
+        if dv == 0.0 and (v == 0.0 or v == 1.0):
+            break
         if b:
             dv = 2.0 * v * dv
             v = v * v
@@ -138,6 +140,13 @@ def period_fixed_points(period: Sequence[int],
     Stability of interior points is read off the sign of p(z) - z on
     either side.  Near-tangential pairs closer than the grid step can be
     missed; raise ``scan_resolution`` for suspicious periods.
+
+    Every evaluation of p stops once its values are exactly 0.0 or 1.0
+    (see ``apply_path``), which is exact because both are fixed by every
+    step.  In binary64 the orbit of every grid point, and of every
+    bisection and stability probe, leaves the repelling fixed point and
+    saturates within a few dozen to a few hundred bits, so the cost no
+    longer grows with the full period length.
     """
     period = _check_bits(period)
     if not period or 0 not in period or 1 not in period:
@@ -150,18 +159,14 @@ def period_fixed_points(period: Sequence[int],
     grid = np.linspace(0.0, 1.0, scan_resolution + 1)[1:-1]
     d = apply_path_array(grid, period) - grid
 
-    roots: list[float] = []
+    roots: list[float] = grid[d == 0.0].tolist()
     brackets: list[tuple[float, float, float]] = []
     if d[0] > 0:
         brackets.append((1e-300, float(grid[0]), -1.0))
-    for i in range(len(grid) - 1):
-        if d[i] == 0.0:
-            roots.append(float(grid[i]))
-        elif d[i] * d[i + 1] < 0:
-            brackets.append((float(grid[i]), float(grid[i + 1]), float(d[i])))
-    if d[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    elif d[-1] < 0:
+    # The exact product test, not signbit: an underflowing product is 0.
+    idx = np.flatnonzero(d[:-1] * d[1:] < 0)
+    brackets += zip(grid[idx].tolist(), grid[idx + 1].tolist(), d[idx].tolist())
+    if d[-1] < 0:
         brackets.append((float(grid[-1]), 1.0 - 1e-12, float(d[-1])))
 
     for lo, hi, d_lo in brackets:
@@ -207,7 +212,7 @@ def _solve_preamble(preamble: tuple[int, ...], zeta: float) -> float:
     return 0.5 * (lo + hi)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_THRESHOLD_CACHE_SIZE)
 def _threshold_cached(x: Fraction, scan_resolution: int) -> ThresholdResult:
     if is_dyadic(x):
         return ThresholdResult(x, 1.0, Certainty.EXACT_BEC, False)

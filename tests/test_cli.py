@@ -217,6 +217,15 @@ class TestContract:
             outputs.add(out)
         assert len(outputs) == 1
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_nonpositive_threads_rejected(self, threads):
+        rc, out = run(["walk", "--n", "10", "--trials", "100", "--seed", "1",
+                       "--min-nonneg", "--threads", threads])
+        assert (rc, out) == (1, "")
+        rc, out = run(["measure", "--eps", "0.5", "--depths", "6",
+                       "--threads", threads])
+        assert (rc, out) == (1, "")
+
     def test_measure_mc_byte_identical_across_threads(self):
         outputs = set()
         for threads in ("1", "4", "8"):

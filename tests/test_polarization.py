@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -141,6 +142,61 @@ def test_apply_path_array_matches_scalar():
     vec = apply_path_array(grid, bits)
     for z, v in zip(grid, vec):
         assert apply_path(z, bits) == v
+
+
+def full_loop(z, bits):
+    """Every step of the path, with no early exit: the reference."""
+    v = z
+    for b in bits:
+        v = v * v if b else v * (2.0 - v)
+    return v
+
+
+def long_paths():
+    rng = random.Random(20150617)
+    paths = [[rng.randrange(2) for _ in range(rng.randrange(5000, 9000))]
+             for _ in range(3)]
+    # Saturated values meet a long run of worse steps, then one squaring
+    # or none: the sign of zero must come out as in the full loop.
+    paths.append([0] * 5000)
+    paths.append([0] * 5000 + [1])
+    paths.append(paths[0][:64] + [0] * 5000)
+    paths.append([1] + [0] * 5000)
+    return paths
+
+
+SATURATED = (0.0, -0.0, 1.0)
+
+
+def same_float(a, b):
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def test_apply_path_saturation_exit_matches_full_loop():
+    grid = np.linspace(0.0, 1.0, 257).tolist()
+    for bits in long_paths():
+        for z in (*SATURATED, *grid):
+            assert same_float(apply_path(z, bits), full_loop(z, bits)), (z, len(bits))
+
+
+def same_array(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_apply_path_array_saturation_exit_matches_full_loop():
+    z = np.concatenate([SATURATED, np.linspace(0.0, 1.0, 257)])
+    for bits in long_paths():
+        want = np.array([full_loop(float(v), bits) for v in z])
+        assert same_array(apply_path_array(z, bits), want)
+        # Saturated from the start: the exit is taken at the first check.
+        assert same_array(apply_path_array(np.array(SATURATED), bits), want[:3])
+
+
+def test_negative_zero_squared_to_positive_zero():
+    assert same_float(apply_path(-0.0, [1]), 0.0)
+    assert same_float(apply_path(-0.0, [0, 0]), -0.0)
+    assert same_float(float(apply_path_array(np.array([-0.0]), [0] * 40 + [1])[0]),
+                      0.0)
 
 
 def test_channel_state_capacity_flag():

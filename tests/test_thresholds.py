@@ -8,7 +8,10 @@ import pytest
 from polarfractal.errors import TrivialPeriodError
 from polarfractal.expansions import is_dyadic, real_to_expansion
 from polarfractal.polarization import apply_path
-from polarfractal.thresholds import (BecClass, Certainty, Stability,
+from polarfractal.thresholds import (BecClass, Certainty, FixedPoint,
+                                     FixedPointReport, Stability,
+                                     _bisect_root, _classify_stability,
+                                     _path_value_and_derivative,
                                      classify_bec_channel,
                                      period_fixed_points, threshold_estimate,
                                      threshold_estimate_batch,
@@ -75,6 +78,12 @@ class TestPeriodFixedPoints:
                 residual = abs(apply_path(fp.location, period) - fp.location)
                 assert residual <= 1e-10
 
+    @pytest.mark.parametrize("x", [Fraction(6394, 30375), Fraction(1, 100003),
+                                   Fraction(2, 3), Fraction(5, 7)])
+    def test_long_periods_match_scalar_bracket_loop(self, x):
+        period = real_to_expansion(x).period
+        assert period_fixed_points(period) == scalar_scan_report(period)
+
     @pytest.mark.parametrize("period", [[0], [1], [0, 0], [1, 1, 1], []])
     def test_trivial_period_rejected(self, period):
         with pytest.raises(TrivialPeriodError):
@@ -83,6 +92,37 @@ class TestPeriodFixedPoints:
     def test_scan_resolution_floor(self):
         with pytest.raises(ValueError):
             period_fixed_points([1, 0], scan_resolution=512)
+
+
+def scalar_scan_report(period, resolution=4096):
+    """Fixed points found by the original scalar bracket loop over a grid
+    evaluated through every bit of the period, with no early exit."""
+    grid = np.linspace(0.0, 1.0, resolution + 1)[1:-1]
+    v = grid.copy()
+    for b in period:
+        v = v * v if b else v * (2.0 - v)
+    d = v - grid
+    roots, brackets = [], []
+    if d[0] > 0:
+        brackets.append((1e-300, float(grid[0]), -1.0))
+    for i in range(len(grid) - 1):
+        if d[i] == 0.0:
+            roots.append(float(grid[i]))
+        elif d[i] * d[i + 1] < 0:
+            brackets.append((float(grid[i]), float(grid[i + 1]), float(d[i])))
+    if d[-1] == 0.0:
+        roots.append(float(grid[-1]))
+    elif d[-1] < 0:
+        brackets.append((float(grid[-1]), 1.0 - 1e-12, float(d[-1])))
+    roots += [_bisect_root(period, lo, hi, d_lo) for lo, hi, d_lo in brackets]
+    merged = []
+    for r in sorted(roots):
+        if not merged or r - merged[-1] > 1e-9:
+            merged.append(r)
+    interior = [FixedPoint(r, _classify_stability(r, period)) for r in merged]
+    points = (FixedPoint(0.0, Stability.ATTRACTING), *interior,
+              FixedPoint(1.0, Stability.ATTRACTING))
+    return FixedPointReport(period, points, len(interior) == 1)
 
 
 class TestThresholdOfRational:
@@ -169,6 +209,29 @@ def test_endpoint_derivatives_vanish():
     for period in ([1, 0], [0, 1], [1, 1, 0], [0, 0, 1, 1]):
         assert apply_path(h, period) / h <= 1e-4
         assert (1.0 - apply_path(1.0 - h, period)) / h <= 1e-4
+
+
+def test_path_value_and_derivative_saturation_exit_matches_full_loop():
+    def full_loop(z, bits):
+        v, dv = z, 1.0
+        for b in bits:
+            if b:
+                dv = 2.0 * v * dv
+                v = v * v
+            else:
+                dv = (2.0 - 2.0 * v) * dv
+                v = v * (2.0 - v)
+        return v, dv
+
+    rng = random.Random(1506)
+    paths = [[rng.randrange(2) for _ in range(6000)],
+             [0] * 1100 + [1] + [0] * 10,
+             [1] * 1100 + [0] + [1] * 10]
+    for bits in paths:
+        for z in (0.0, -0.0, 1.0, *np.linspace(0.0, 1.0, 65).tolist()):
+            got = _path_value_and_derivative(z, bits)
+            # float.hex tells -0.0 from 0.0 and matches nan with nan.
+            assert [x.hex() for x in got] == [x.hex() for x in full_loop(z, bits)]
 
 
 class TestThresholdEstimate:
