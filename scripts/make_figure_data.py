@@ -11,7 +11,7 @@ Usage: python scripts/make_figure_data.py --grid-exponent 10 --outdir data/
 import argparse
 import pathlib
 
-from polarfractal.cli import _plot_rows
+from polarfractal.thresholds import threshold_curve
 
 
 def main() -> None:
@@ -22,8 +22,7 @@ def main() -> None:
     parser.add_argument("--outdir", default="figure-data")
     args = parser.parse_args()
 
-    rows = _plot_rows(args.grid_exponent, args.depth, include_dyadics=False,
-                      iter_budget=args.iter_budget)
+    rows = threshold_curve(args.grid_exponent, args.depth, args.iter_budget)
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 

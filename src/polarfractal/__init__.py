@@ -22,8 +22,8 @@ from .polarization import (ChannelState, Exactness, PathEvolution, apply_path,
                            better_transform, evolve, worse_transform)
 from .thresholds import (BecClass, Certainty, FixedPoint, FixedPointReport,
                          Stability, ThresholdResult, classify_bec_channel,
-                         period_fixed_points, threshold_estimate,
-                         threshold_estimate_batch, threshold_of_rational,
-                         verify_symmetry)
+                         period_fixed_points, threshold_curve,
+                         threshold_estimate, threshold_estimate_batch,
+                         threshold_of_rational, verify_symmetry)
 
 __version__ = "0.1.0"

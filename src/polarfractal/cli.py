@@ -15,8 +15,6 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from . import codes, fractal, thresholds
 from .errors import ResourceLimitError, UnresolvedError
 from .expansions import is_dyadic, parse_rational
@@ -166,38 +164,9 @@ def _cmd_threshold(args, out) -> int:
     return EXIT_OK
 
 
-def _plot_rows(m: int, depth: int, include_dyadics: bool,
-               iter_budget: int) -> list[tuple[float, float]]:
-    if m < 1:
-        raise _UsageError("grid exponent must be >= 1")
-    if m > 16:
-        raise ResourceLimitError("grid exponent capped at 16")
-    if depth < 1:
-        raise _UsageError("depth must be >= 1")
-    count = 1 << m
-    prefixes = np.empty((count, depth), dtype=np.uint8)
-    xs = np.empty(count)
-    for j in range(count):
-        # Abscissa is the cell midpoint (odd numerator, so no coarse dyadic
-        # is hit).  The estimated sequence continues the cell bits with the
-        # balanced alternating tail; complementary cells then get exactly
-        # complementary bit sequences, which keeps the curve symmetric.
-        bits = [(j >> (m - 1 - i)) & 1 for i in range(m)]
-        while len(bits) < depth:
-            bits.append(1 - bits[-1])
-        prefixes[j] = bits[:depth]
-        xs[j] = (2 * j + 1) / (1 << (m + 1))
-    theta = thresholds.threshold_estimate_batch(prefixes, iter_budget=iter_budget)
-    rows = list(zip(xs.tolist(), theta.tolist()))
-    if include_dyadics:
-        rows.extend((j / (1 << m), 1.0) for j in range(1, count))
-        rows.sort()
-    return rows
-
-
 def _cmd_plot_fractal(args, out) -> int:
-    rows = _plot_rows(args.grid_exponent, args.depth, args.include_dyadics,
-                      args.iter_budget)
+    rows = thresholds.threshold_curve(args.grid_exponent, args.depth,
+                                      args.iter_budget, args.include_dyadics)
     sink = open(args.output, "w") if args.output else out
     try:
         if args.json:

@@ -11,6 +11,7 @@ heavy-set membership runs the exact weight-drift walk on the expansion.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,6 +25,8 @@ from .polarization import bec_leaf_values
 # Hard cap on materialized matrix cells and single-row length.
 _MAX_MATRIX_CELLS = 1 << 26
 _MAX_ROW_DEPTH = 26
+# Cells per block of generator_matrix's int64 temporaries.
+_MATRIX_BLOCK_CELLS = 1 << 18
 
 _MATRIX_MAGIC = b"KPCM"
 
@@ -42,12 +45,12 @@ class IndexSet:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        idx = tuple(sorted(int(i) for i in self.indices))
-        if len(set(idx)) != len(idx):
+        idx = np.sort(np.asarray(self.indices, dtype=np.int64), axis=None)
+        if not (idx[1:] > idx[:-1]).all():
             raise ValueError("indices must be distinct")
-        if idx and not (0 <= idx[0] and idx[-1] < (1 << self.n)):
+        if idx.size and not (0 <= idx[0] and int(idx[-1]) < (1 << self.n)):
             raise ValueError(f"indices out of range for depth {self.n}")
-        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "indices", tuple(idx.tolist()))
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "n": self.n, **self.meta,
@@ -100,8 +103,7 @@ def polar_index_set(eps: float, n: int, size: int) -> IndexSet:
         raise ValueError(f"size must lie in [0, 2^{n}], got {size}")
     z = bec_leaf_values(eps, n)
     order = np.argsort(z, kind="stable")
-    chosen = np.sort(order[:size])
-    return IndexSet(n=n, indices=tuple(int(i) for i in chosen), kind="polar",
+    return IndexSet(n=n, indices=order[:size], kind="polar",
                     meta={"eps": eps, "size": size})
 
 
@@ -113,11 +115,15 @@ def rm_index_set(order: int, n: int) -> IndexSet:
     """
     if not 0 <= order <= n:
         raise ValueError(f"order must lie in [0, {n}], got {order}")
+    return _popcount_index_set(n, n - order, "reed-muller", {"order": order})
+
+
+def _popcount_index_set(n: int, need: int, kind: str, meta: dict) -> IndexSet:
+    """Rows h of depth n with popcount(h) >= need."""
     if n > _MAX_ROW_DEPTH:
         raise ResourceLimitError(f"enumerating 2^{n} indices exceeds the budget")
-    need = n - order
-    idx = tuple(h for h in range(1 << n) if int(h).bit_count() >= need)
-    return IndexSet(n=n, indices=idx, kind="reed-muller", meta={"order": order})
+    idx = np.flatnonzero(np.bitwise_count(np.arange(1 << n)) >= need)
+    return IndexSet(n=n, indices=idx, kind=kind, meta=meta)
 
 
 def generator_matrix(index_set: IndexSet) -> GeneratorMatrix:
@@ -127,11 +133,16 @@ def generator_matrix(index_set: IndexSet) -> GeneratorMatrix:
     if cells > _MAX_MATRIX_CELLS:
         raise ResourceLimitError(
             f"{len(index_set.indices)} x 2^{index_set.n} matrix exceeds the budget")
-    if index_set.indices:
-        rows = np.stack([kronecker_row(index_set.n, h) for h in index_set.indices])
-    else:
-        rows = np.zeros((0, 1 << index_set.n), dtype=np.uint8)
-    return GeneratorMatrix(n=index_set.n, indices=index_set.indices, rows=rows)
+    # Entry (h, c) is 1 exactly when the bits of c lie within those of h;
+    # rows are filled in blocks to bound the int64 temporaries.
+    h = np.asarray(index_set.indices, dtype=np.int64)
+    c = np.arange(1 << index_set.n)
+    rows = np.empty((h.size, c.size), dtype=bool)
+    step = max(1, _MATRIX_BLOCK_CELLS // c.size)
+    for s in range(0, h.size, step):
+        np.equal(c & ~h[s:s + step, None], 0, out=rows[s:s + step])
+    return GeneratorMatrix(n=index_set.n, indices=index_set.indices,
+                           rows=rows.view(np.uint8))
 
 
 def _expansion_is_heavy(spec: ExpansionSpec, rho: Fraction) -> bool:
@@ -180,18 +191,17 @@ def heavy_membership(x: Fraction | int | str, rho: Fraction | int | str) -> bool
 
 def heavy_index_set(rho: Fraction | int | str, n: int) -> IndexSet:
     """Depth-n finite shadow of the heavy set: rows with weight drift
-    popcount(h) - rho*n >= 0."""
+    popcount(h) - rho*n >= 0, i.e. popcount(h) >= ceil(rho*n) (exact)."""
     rho = Fraction(rho)
-    if n > _MAX_ROW_DEPTH:
-        raise ResourceLimitError(f"enumerating 2^{n} indices exceeds the budget")
-    idx = tuple(h for h in range(1 << n)
-                if Fraction(int(h).bit_count()) - rho * n >= 0)
-    return IndexSet(n=n, indices=idx, kind="heavy", meta={"rho": str(rho)})
+    return _popcount_index_set(n, math.ceil(rho * n), "heavy", {"rho": str(rho)})
 
 
 def matrix_to_text(gm: GeneratorMatrix) -> str:
-    """One '0'/'1' row per line."""
-    return "\n".join("".join(str(int(b)) for b in row) for row in gm.rows) + "\n"
+    """One '0'/'1' row per line; a matrix without rows gives one newline."""
+    buf = np.empty((gm.rows.shape[0], gm.rows.shape[1] + 1), dtype=np.uint8)
+    buf[:, :-1] = gm.rows + ord("0")
+    buf[:, -1] = ord("\n")
+    return buf.tobytes().decode("ascii") or "\n"
 
 
 def matrix_to_bytes(gm: GeneratorMatrix) -> bytes:

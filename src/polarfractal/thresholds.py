@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import TrivialPeriodError, UnresolvedError
+from .errors import ResourceLimitError, TrivialPeriodError
 from .expansions import is_dyadic, real_to_expansion
 from .polarization import _check_bits, apply_path, apply_path_array
 
@@ -247,80 +247,52 @@ def threshold_of_rational(x: Fraction | int | str,
 def threshold_estimate(prefix: Sequence[int], iter_budget: int = 10_000,
                        delta: float = 1e-9) -> float:
     """Bisection estimate of the threshold of an infinite sequence seen
-    only through a finite prefix.
+    only through a finite prefix: a one-row ``threshold_estimate_batch``.
 
     The continuation is taken to repeat the full prefix, which makes the
     estimate the threshold of the rational whose expansion period is the
     prefix; the paper-level object is defined for full infinite sequences
-    only, so this is a plotting approximation.  Classification iterates
-    the prefix map and decides once the orbit is trapped below ``delta``
-    or above ``1 - delta``.
+    only, so this is a plotting approximation.
     """
-    prefix = _check_bits(prefix)
-    if not prefix:
-        raise ValueError("prefix must contain at least one bit")
-    if not 0.0 < delta < 0.5:
-        raise ValueError(f"delta must lie in (0, 0.5), got {delta}")
-
-    def classify(eps: float) -> int:
-        v = apply_path(eps, prefix)
-        for _ in range(iter_budget):
-            w = apply_path(v, prefix)
-            if v < delta and w <= v:
-                return 0
-            if v > 1.0 - delta and w >= v:
-                return 1
-            v = w
-        if v < delta:
-            return 0
-        if v > 1.0 - delta:
-            return 1
-        return -1
-
-    if classify(0.0) != 0 or classify(1.0) != 1:
-        raise UnresolvedError(
-            "classification failed at the bisection endpoints; raise "
-            "iter_budget or delta")
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        side = classify(mid)
-        if side == 0:
-            lo = mid
-        elif side == 1:
-            hi = mid
-        else:
-            # Orbit pinned at the threshold itself; mid is the answer.
-            return mid
-    return 0.5 * (lo + hi)
+    row = np.array([_check_bits(prefix)], dtype=np.uint8)
+    return float(threshold_estimate_batch(row, iter_budget, delta)[0])
 
 
-def _apply_rows(v: np.ndarray, prefixes: np.ndarray) -> np.ndarray:
-    out = v.copy()
-    for j in range(prefixes.shape[1]):
-        bit = prefixes[:, j] != 0
-        out = np.where(bit, out * out, out * (2.0 - out))
+def _apply_rows(v: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The prefix map of every row; ``cols[j]`` is the mask of rows whose
+    bit j is 1.  ``out * out`` and ``out * (2 - out)``, as in ``apply_path``."""
+    out = v
+    for bit in cols:
+        out = out * np.where(bit, out, 2.0 - out)
     return out
 
 
-def _classify_batch(eps: np.ndarray, prefixes: np.ndarray, iter_budget: int,
+def _classify_batch(eps: np.ndarray, cols: np.ndarray, iter_budget: int,
                     delta: float) -> np.ndarray:
+    """Side of the threshold of each row: 0 once its orbit under the
+    prefix map is trapped below ``delta``, 1 once above ``1 - delta``,
+    -1 (pinned at the threshold) otherwise.
+
+    The map is deterministic, so an orbit that repeats exactly (w == v)
+    without being trapped stays where it is: such a row is retired as
+    pinned at once instead of running out ``iter_budget``.  NaN never
+    compares equal, so NaN rows still run the whole budget.
+    """
     res = np.full(eps.size, -1, dtype=np.int8)
     idx = np.arange(eps.size)
-    rows = prefixes
-    v = _apply_rows(eps, rows)
+    v = _apply_rows(eps, cols)
     for _ in range(iter_budget):
         if idx.size == 0:
             break
-        w = _apply_rows(v, rows)
+        w = _apply_rows(v, cols)
         low = (v < delta) & (w <= v)
         high = (v > 1.0 - delta) & (w >= v)
-        done = low | high
+        done = low | high | (w == v)
         if done.any():
             res[idx[low]] = 0
             res[idx[high]] = 1
             keep = ~done
-            idx, v, rows = idx[keep], w[keep], rows[keep]
+            idx, v, cols = idx[keep], w[keep], cols[:, keep]
         else:
             v = w
     res[idx[v < delta]] = 0
@@ -330,15 +302,18 @@ def _classify_batch(eps: np.ndarray, prefixes: np.ndarray, iter_budget: int,
 
 def threshold_estimate_batch(prefixes: np.ndarray, iter_budget: int = 10_000,
                              delta: float = 1e-9) -> np.ndarray:
-    """Vectorized ``threshold_estimate`` over rows of a 0/1 matrix.
+    """Threshold estimates for the rows of a 0/1 matrix, bisected in
+    lockstep (see ``threshold_estimate``).
 
-    Same algorithm and same results as the scalar version, row by row;
-    used for fractal-plot grids where thousands of prefixes are bisected
-    in lockstep.
+    Each row takes 60 halvings of [0, 1]; a midpoint whose orbit is
+    pinned at the threshold is the answer for its row.
     """
-    rows = np.ascontiguousarray(np.asarray(prefixes, dtype=np.uint8))
+    rows = np.asarray(prefixes, dtype=np.uint8)
     if rows.ndim != 2 or rows.shape[1] == 0:
         raise ValueError("prefixes must be a non-empty 2-d bit matrix")
+    if not 0.0 < delta < 0.5:
+        raise ValueError(f"delta must lie in (0, 0.5), got {delta}")
+    cols = np.ascontiguousarray(rows.T != 0)
     m = rows.shape[0]
     lo = np.zeros(m)
     hi = np.ones(m)
@@ -346,7 +321,7 @@ def threshold_estimate_batch(prefixes: np.ndarray, iter_budget: int = 10_000,
     active = np.arange(m)
     for _ in range(60):
         mid = 0.5 * (lo[active] + hi[active])
-        cls = _classify_batch(mid, rows[active], iter_budget, delta)
+        cls = _classify_batch(mid, cols[:, active], iter_budget, delta)
         pinned = cls < 0
         out[active[pinned]] = mid[pinned]
         went_low = cls == 0
@@ -358,6 +333,37 @@ def threshold_estimate_batch(prefixes: np.ndarray, iter_budget: int = 10_000,
             break
     out[active] = 0.5 * (lo[active] + hi[active])
     return out
+
+
+def threshold_curve(m: int, depth: int, iter_budget: int,
+                    include_dyadics: bool = False) -> list[tuple[float, float]]:
+    """The fractal plot: (x, estimated theta) at the 2^m cell midpoints
+    (2j+1)/2^(m+1), in increasing x.
+
+    Cell j is estimated from its m bits (odd numerator, so no coarse
+    dyadic is hit) continued by the balanced alternating tail, ``depth``
+    bits in all; complementary cells then get exactly complementary bit
+    sequences, which keeps the curve symmetric.  ``include_dyadics`` adds
+    the dyadic grid spikes (j/2^m, 1.0).
+    """
+    if m < 1:
+        raise ValueError("grid exponent must be >= 1")
+    if m > 16:
+        raise ResourceLimitError("grid exponent capped at 16")
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    j = np.arange(1 << m)
+    prefixes = np.empty((j.size, depth), dtype=np.uint8)
+    cell = min(m, depth)
+    prefixes[:, :cell] = (j[:, None] >> np.arange(m - 1, m - 1 - cell, -1)) & 1
+    tail = (np.arange(depth - m) % 2 == 0).astype(np.uint8)
+    np.bitwise_xor((j & 1).astype(np.uint8)[:, None], tail, out=prefixes[:, m:])
+    theta = threshold_estimate_batch(prefixes, iter_budget=iter_budget)
+    rows = list(zip(((2 * j + 1) / (1 << (m + 1))).tolist(), theta.tolist()))
+    if include_dyadics:
+        rows.extend((k / (1 << m), 1.0) for k in range(1, 1 << m))
+        rows.sort()
+    return rows
 
 
 def verify_symmetry(x: Fraction | int | str) -> tuple[float, float, float]:

@@ -66,6 +66,12 @@ class TestPlotFractal:
         rc, _ = run(["plot-fractal", "-m", "17"])
         assert rc == 3
 
+    @pytest.mark.parametrize("argv", [["-m", "0"], ["-m", "-2"],
+                                      ["-m", "3", "--depth", "0"]])
+    def test_bad_grid_exits_usage(self, argv):
+        rc, out = run(["plot-fractal", *argv])
+        assert rc == 1 and out == ""
+
 
 class TestConstruct:
     def test_rm_examples(self):

@@ -158,6 +158,17 @@ class TestGeneratorMatrix:
         with pytest.raises(ResourceLimitError):
             generator_matrix(IndexSet(n=25, indices=tuple(range(4)), kind="polar"))
 
+    def test_rows_match_kronecker_row(self):
+        for n in range(0, 9):
+            gm = generator_matrix(rm_index_set(n, n))
+            assert gm.rows.dtype == np.uint8
+            for h, row in zip(gm.indices, gm.rows):
+                assert np.array_equal(row, kronecker_row(n, h)), (n, h)
+        # Depth 13 fills its 378 rows in blocks of 32.
+        gm = generator_matrix(rm_index_set(3, 13))
+        for h, row in zip(gm.indices, gm.rows):
+            assert np.array_equal(row, kronecker_row(13, h)), h
+
 
 class TestHeavyMembership:
     def test_endpoint_examples(self):
@@ -208,7 +219,59 @@ def test_heavy_index_set_counts():
     assert list(s.indices) == want
 
 
+def test_popcount_builders_match_brute_force():
+    for n in range(0, 13):
+        for r in range(0, n + 1):
+            want = tuple(h for h in range(1 << n) if h.bit_count() >= n - r)
+            assert rm_index_set(r, n).indices == want
+        # rho*n lands on every integer and just either side of it.
+        rhos = {Fraction(k, n) for k in range(n + 1)} if n else {Fraction(0)}
+        rhos |= {rho + d for rho in rhos for d in (Fraction(-1, 97 * n + 97),
+                                                    Fraction(1, 97 * n + 97))}
+        rhos |= {Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1)}
+        for rho in sorted(rhos):
+            # popcount(h) - rho*n >= 0, cleared of the denominator.
+            want = tuple(h for h in range(1 << n) if h.bit_count()
+                         * rho.denominator - rho.numerator * n >= 0)
+            got = heavy_index_set(rho, n)
+            assert got.indices == want, (n, rho)
+            assert all(type(h) is int for h in got.indices)
+
+
+class TestIndexSetValidation:
+    def test_rejects_duplicates(self):
+        with pytest.raises(ValueError):
+            IndexSet(n=3, indices=(1, 4, 1), kind="polar")
+        with pytest.raises(ValueError):
+            IndexSet(n=3, indices=np.array([2, 2]), kind="polar")
+
+    def test_rejects_out_of_range(self):
+        for bad in ((0, 8), (-1, 3), np.array([8]), np.array([-1, 0])):
+            with pytest.raises(ValueError):
+                IndexSet(n=3, indices=bad, kind="polar")
+
+    def test_accepts_numpy_and_sorts(self):
+        s = IndexSet(n=4, indices=np.array([9, 3, 15], dtype=np.uint16),
+                     kind="reed-muller", meta={"order": 2})
+        assert s.indices == (3, 9, 15)
+        assert all(type(h) is int for h in s.indices)
+        assert json.loads(index_set_to_json(s))["indices"] == [3, 9, 15]
+        assert IndexSet(n=2, indices=(), kind="polar").indices == ()
+
+
+def per_cell_text(gm):
+    return "\n".join("".join(str(int(b)) for b in row) for row in gm.rows) + "\n"
+
+
 class TestExports:
+    def test_text_matches_per_cell_reference(self):
+        for index_set in (rm_index_set(0, 0), rm_index_set(2, 5),
+                          polar_index_set(0.4, 6, 23), polar_index_set(0.4, 6, 0),
+                          IndexSet(n=3, indices=(), kind="polar")):
+            gm = generator_matrix(index_set)
+            assert matrix_to_text(gm) == per_cell_text(gm)
+        assert matrix_to_text(generator_matrix(polar_index_set(0.5, 3, 0))) == "\n"
+
     def test_text_format(self):
         gm = generator_matrix(rm_index_set(1, 2))
         assert matrix_to_text(gm) == "1100\n1010\n1111\n"

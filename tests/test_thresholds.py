@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from polarfractal.errors import TrivialPeriodError
+from polarfractal.errors import ResourceLimitError, TrivialPeriodError
 from polarfractal.expansions import is_dyadic, real_to_expansion
 from polarfractal.polarization import apply_path
 from polarfractal.thresholds import (BecClass, Certainty, FixedPoint,
@@ -13,7 +13,8 @@ from polarfractal.thresholds import (BecClass, Certainty, FixedPoint,
                                      _bisect_root, _classify_stability,
                                      _path_value_and_derivative,
                                      classify_bec_channel,
-                                     period_fixed_points, threshold_estimate,
+                                     period_fixed_points, threshold_curve,
+                                     threshold_estimate,
                                      threshold_estimate_batch,
                                      threshold_of_rational, verify_symmetry)
 
@@ -272,6 +273,105 @@ class TestThresholdEstimate:
             threshold_estimate([])
         with pytest.raises(ValueError):
             threshold_estimate([1, 0], delta=0.7)
+
+
+def full_budget_estimate(prefixes, iter_budget, delta=1e-9):
+    """The prefix estimator without the pinned exit: every row that is not
+    trapped runs the whole ``iter_budget``.  Returns the estimates and the
+    mask of rows whose bisection ended on a pinned midpoint."""
+    def apply_rows(v, rows):
+        out = v.copy()
+        for j in range(rows.shape[1]):
+            out = np.where(rows[:, j] != 0, out * out, out * (2.0 - out))
+        return out
+
+    def classify(eps, rows):
+        res = np.full(eps.size, -1, dtype=np.int8)
+        idx = np.arange(eps.size)
+        v = apply_rows(eps, rows)
+        for _ in range(iter_budget):
+            if idx.size == 0:
+                break
+            w = apply_rows(v, rows)
+            low = (v < delta) & (w <= v)
+            high = (v > 1.0 - delta) & (w >= v)
+            res[idx[low]] = 0
+            res[idx[high]] = 1
+            keep = ~(low | high)
+            idx, v, rows = idx[keep], w[keep], rows[keep]
+        res[idx[v < delta]] = 0
+        res[idx[v > 1.0 - delta]] = 1
+        return res
+
+    m = prefixes.shape[0]
+    lo, hi = np.zeros(m), np.ones(m)
+    out = np.full(m, np.nan)
+    pinned_rows = np.zeros(m, dtype=bool)
+    active = np.arange(m)
+    for _ in range(60):
+        mid = 0.5 * (lo[active] + hi[active])
+        cls = classify(mid, prefixes[active])
+        pinned = cls < 0
+        out[active[pinned]] = mid[pinned]
+        pinned_rows[active[pinned]] = True
+        lo[active[cls == 0]] = mid[cls == 0]
+        hi[active[cls == 1]] = mid[cls == 1]
+        active = active[~pinned]
+    out[active] = 0.5 * (lo[active] + hi[active])
+    return out, pinned_rows
+
+
+def plot_prefixes(m, depth):
+    """Cell bits of j, then the alternating tail, one row at a time."""
+    rows = []
+    for j in range(1 << m):
+        bits = [(j >> (m - 1 - i)) & 1 for i in range(m)]
+        while len(bits) < depth:
+            bits.append(1 - bits[-1])
+        rows.append(bits[:depth])
+    return np.array(rows, dtype=np.uint8)
+
+
+class TestThresholdCurve:
+    def test_pinned_rows_match_full_budget(self):
+        m, depth, budget = 11, 40, 600
+        want, pinned = full_budget_estimate(plot_prefixes(m, depth), budget)
+        assert pinned.any()
+        curve = threshold_curve(m, depth, budget)
+        xs = [(2 * j + 1) / (1 << (m + 1)) for j in range(1 << m)]
+        assert [x for x, _ in curve] == xs
+        got = [th.hex() for _, th in curve]
+        assert [got[j] for j in np.flatnonzero(pinned)] == \
+            [want[j].hex() for j in np.flatnonzero(pinned)]
+        assert got == [w.hex() for w in want.tolist()]
+
+    def test_pinned_scalar_matches_full_budget(self):
+        # Cell 1365 of the m = 11 grid is 1010...: the orbit of one
+        # bisection midpoint sits on a binary64 fixed point of the map.
+        row = plot_prefixes(11, 40)[1365]
+        want, pinned = full_budget_estimate(row[None, :], 2000)
+        assert pinned[0]
+        got = threshold_estimate(row.tolist(), iter_budget=2000)
+        assert got.hex() == want[0].hex()
+
+    @pytest.mark.parametrize("m,depth", [(1, 1), (3, 2), (4, 4), (5, 9), (6, 13)])
+    def test_short_and_long_depths(self, m, depth):
+        want, _ = full_budget_estimate(plot_prefixes(m, depth), 50)
+        got = [th for _, th in threshold_curve(m, depth, 50)]
+        assert [g.hex() for g in got] == [w.hex() for w in want.tolist()]
+
+    def test_include_dyadics(self):
+        curve = threshold_curve(3, 40, 600, include_dyadics=True)
+        assert [x for x, _ in curve] == [k / 16 for k in range(1, 16)]
+        assert all(th == 1.0 for x, th in curve if (16 * x) % 2 == 0)
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            threshold_curve(0, 40, 600)
+        with pytest.raises(ValueError):
+            threshold_curve(3, 0, 600)
+        with pytest.raises(ResourceLimitError):
+            threshold_curve(17, 40, 600)
 
 
 class TestClassification:
