@@ -45,7 +45,14 @@ class IndexSet:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        idx = np.sort(np.asarray(self.indices, dtype=np.int64), axis=None)
+        raw = self.indices
+        if not isinstance(raw, np.ndarray):
+            raw = [int(i) for i in raw]
+        try:
+            idx = np.sort(np.asarray(raw, dtype=np.int64), axis=None)
+        except OverflowError:
+            raise ValueError(f"indices out of range for depth {self.n} "
+                             "or for int64") from None
         if not (idx[1:] > idx[:-1]).all():
             raise ValueError("indices must be distinct")
         if idx.size and not (0 <= idx[0] and int(idx[-1]) < (1 << self.n)):

@@ -95,17 +95,6 @@ def better_transform(z: float) -> float:
 
 
 def _check_bits(bits: Sequence[int]) -> tuple[int, ...]:
-    """``bits`` as a tuple of ints 0/1.  Tuples and lists of integers take
-    one pass in C through ``bytes``; other input goes through ``int``."""
-    if type(bits) in (tuple, list):
-        try:
-            raw = bytes(bits)
-        except (TypeError, ValueError):
-            pass
-        else:
-            if raw.translate(None, b"\x00\x01"):
-                raise ValueError(f"bits must be 0/1, got {bits!r}")
-            return tuple(raw)
     out = tuple(map(int, bits))
     if not set(out) <= {0, 1}:
         raise ValueError(f"bits must be 0/1, got {bits!r}")

@@ -247,7 +247,8 @@ def threshold_of_rational(x: Fraction | int | str,
 def threshold_estimate(prefix: Sequence[int], iter_budget: int = 10_000,
                        delta: float = 1e-9) -> float:
     """Bisection estimate of the threshold of an infinite sequence seen
-    only through a finite prefix: a one-row ``threshold_estimate_batch``.
+    only through a finite prefix: a one-row ``threshold_estimate_batch``,
+    so each bit of each orbit step costs numpy calls on one-element arrays.
 
     The continuation is taken to repeat the full prefix, which makes the
     estimate the threshold of the rational whose expansion period is the
@@ -260,10 +261,15 @@ def threshold_estimate(prefix: Sequence[int], iter_budget: int = 10_000,
 
 def _apply_rows(v: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """The prefix map of every row; ``cols[j]`` is the mask of rows whose
-    bit j is 1.  ``out * out`` and ``out * (2 - out)``, as in ``apply_path``."""
+    bit j is 1.  ``out * out`` and ``out * (2 - out)``, as in ``apply_path``.
+
+    Both maps fix 0.0 and 1.0 exactly, so the walk stops once every value
+    is one of them; this is checked after 16, 32, 64, ... bits."""
     out = v
-    for bit in cols:
+    for j, bit in enumerate(cols, 1):
         out = out * np.where(bit, out, 2.0 - out)
+        if j >= 16 and j & (j - 1) == 0 and ((out == 0.0) | (out == 1.0)).all():
+            break
     return out
 
 

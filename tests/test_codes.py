@@ -246,9 +246,19 @@ class TestIndexSetValidation:
             IndexSet(n=3, indices=np.array([2, 2]), kind="polar")
 
     def test_rejects_out_of_range(self):
-        for bad in ((0, 8), (-1, 3), np.array([8]), np.array([-1, 0])):
+        for bad in ((0, 8), (-1, 3), np.array([8]), np.array([-1, 0]),
+                    (1, 1 << 70), [-(1 << 70)], np.array([1 << 70], dtype=object),
+                    np.array([1 << 63], dtype=np.uint64)):
             with pytest.raises(ValueError):
                 IndexSet(n=3, indices=bad, kind="polar")
+
+    def test_accepts_any_iterable(self):
+        for given, want in (((h for h in (5, 0, 2)), (0, 2, 5)),
+                            ({2, 5, 0}, (0, 2, 5)), (range(0, 6, 2), (0, 2, 4)),
+                            (["5", 2.0, True], (1, 2, 5))):
+            s = IndexSet(n=3, indices=given, kind="polar")
+            assert s.indices == want
+            assert all(type(h) is int for h in s.indices)
 
     def test_accepts_numpy_and_sorts(self):
         s = IndexSet(n=4, indices=np.array([9, 3, 15], dtype=np.uint16),

@@ -7,9 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polarfractal.errors import ResourceLimitError
-from polarfractal.polarization import (ChannelState, Exactness, _check_bits,
-                                       apply_path, apply_path_array,
-                                       bec_leaf_chunks,
+from polarfractal.polarization import (ChannelState, Exactness, apply_path,
+                                       apply_path_array, bec_leaf_chunks,
                                        bec_leaf_values, better_transform,
                                        evolve, worse_transform)
 
@@ -208,27 +207,3 @@ def test_channel_state_capacity_flag():
         _ = bound.capacity
     assert bound.worse().exactness is Exactness.UPPER_BOUND
     assert exact.better().z == 0.0625
-
-
-def check_bits_reference(bits):
-    out = tuple(map(int, bits))
-    if not set(out) <= {0, 1}:
-        raise ValueError("bits must be 0/1")
-    return out
-
-
-@pytest.mark.parametrize("bits", [
-    (), [], (0, 1, 1), [1, 0], (True, False), [np.uint8(1), np.int64(0)],
-    (1.0, 0.0), [0.9, 1], "0110", (0, 1) * 5000, [2], (0, -1), (1, 256),
-    [1, 1 << 70], np.array([1, 0, 1], dtype=np.int64), range(2), b"\x00\x01",
-])
-def test_check_bits_matches_int_reference(bits):
-    try:
-        want = check_bits_reference(bits)
-    except ValueError:
-        with pytest.raises(ValueError):
-            _check_bits(bits)
-        return
-    got = _check_bits(bits)
-    assert got == want
-    assert all(type(b) is int for b in got)

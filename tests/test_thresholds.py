@@ -354,6 +354,14 @@ class TestThresholdCurve:
         got = threshold_estimate(row.tolist(), iter_budget=2000)
         assert got.hex() == want[0].hex()
 
+    @pytest.mark.parametrize("prefix", [
+        real_to_expansion(Fraction(1, 9)).prefix(24),
+        real_to_expansion(Fraction(5, 7)).prefix(200),
+        [1, 0] * 150, [0, 1, 1], [1, 0, 0, 0, 1, 1, 0, 1] * 40])
+    def test_scalar_matches_full_budget(self, prefix):
+        want, _ = full_budget_estimate(np.array([prefix], dtype=np.uint8), 600)
+        assert threshold_estimate(prefix, iter_budget=600).hex() == want[0].hex()
+
     @pytest.mark.parametrize("m,depth", [(1, 1), (3, 2), (4, 4), (5, 9), (6, 13)])
     def test_short_and_long_depths(self, m, depth):
         want, _ = full_budget_estimate(plot_prefixes(m, depth), 50)
