@@ -11,6 +11,7 @@ for the quasi self-similar inclusions.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -90,13 +91,14 @@ class HeavyImplicationViolation:
     member_right: bool
 
 
-def _mc_accumulate(trials: int, seed: int, threads: int,
-                   worker: Callable[[np.random.Generator, int], np.ndarray]
-                   ) -> np.ndarray:
-    """Run ``worker`` over fixed-size Philox chunks and sum the results.
+def _mc_accumulate(trials: int, seed: int, threads: int, n: int,
+                   fold: Callable[[np.ndarray, int], np.ndarray]) -> np.ndarray:
+    """Sum ``fold(packed, n)`` over fixed-size chunks of n-step paths.
 
-    Chunk i uses the stream jumped by i from the seed key, so the total is
-    reproducible bit for bit regardless of ``threads``.
+    Chunk i draws ``packed``, one uint8 row per path holding its steps as
+    bits (most significant first), from the Philox stream jumped by i from
+    the seed key, so the total is the same bit for bit whatever
+    ``threads``; no more threads than chunks or CPUs are started.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -112,16 +114,44 @@ def _mc_accumulate(trials: int, seed: int, threads: int,
     def run(job: tuple[int, int]) -> np.ndarray:
         i, count = job
         rng = np.random.Generator(np.random.Philox(key=seed).jumped(i))
-        return worker(rng, count)
+        return fold(rng.integers(0, 256, size=(count, -(-n // 8)),
+                                 dtype=np.uint8), n)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, jobs))
     else:
         results = [run(job) for job in jobs]
     out = results[0].copy()
     for r in results[1:]:
         out += r
+    return out
+
+
+def _step_major(packed: np.ndarray, n: int) -> np.ndarray:
+    """The first n steps of packed paths as an (n, paths) 0/1 array (by
+    shifts of the transposed bytes: transposing unpacked bits is slower)."""
+    cols = np.ascontiguousarray(packed.T)
+    bits = cols[:, None, :] >> np.arange(7, -1, -1, dtype=np.uint8)[:, None]
+    bits &= 1
+    return bits.reshape(-1, packed.shape[0])[:n]
+
+
+def _bec_leaf_samples(packed: np.ndarray, eps: float,
+                      depths: Sequence[int]) -> list[np.ndarray]:
+    """z at each of the increasing ``depths`` along the packed paths, a
+    1 bit being the worse step z -> z^2 and a 0 bit z -> z(2 - z).  Bits
+    are unpacked 64 steps at a time, so deep paths stay packed."""
+    z = np.full(packed.shape[0], eps)
+    out = []
+    for start in range(0, depths[-1], 64):
+        block = _step_major(packed[:, start // 8:start // 8 + 8],
+                            min(64, depths[-1] - start))
+        for t, bit in enumerate(block, start + 1):
+            z = z * np.where(bit, z, 2.0 - z)
+            if t in depths:
+                out.append(z)
     return out
 
 
@@ -133,12 +163,16 @@ def measure_scan(eps: float, depths: Sequence[int], delta: float = 1e-3,
     A leaf counts as good when z <= delta and bad when z >= 1 - delta.
     Depths up to 24 are enumerated exhaustively (streamed, exact counts);
     beyond that paths are Monte Carlo sampled, which requires ``mc_trials``
-    and ``seed``.  The fractions trend toward 1 - eps and eps.
+    and ``seed``.  All sampled depths are read off the same paths, so their
+    rows are correlated.  The fractions trend toward 1 - eps and eps.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     if not 0.0 < delta < 0.5:
         raise ValueError(f"delta must lie in (0, 0.5), got {delta}")
+    # Sampled depths share paths, drawn once when the first is reached.
+    deep = sorted({n for n in depths if n > MAX_LEAF_LIST_DEPTH})
+    sampled = None
     out = []
     for n in depths:
         if n < 0:
@@ -153,17 +187,13 @@ def measure_scan(eps: float, depths: Sequence[int], delta: float = 1e-3,
             if mc_trials is None:
                 raise ResourceLimitError(
                     f"depth {n} needs Monte Carlo sampling; pass mc_trials and seed")
-
-            def worker(rng: np.random.Generator, count: int) -> np.ndarray:
-                z = np.full(count, eps)
-                for _ in range(n):
-                    bit = rng.integers(0, 2, size=count, dtype=np.uint8) == 1
-                    z = np.where(bit, z * z, z * (2.0 - z))
-                return np.array([(z <= delta).sum(), (z >= 1.0 - delta).sum()],
-                                dtype=np.int64)
-
-            good, bad = (int(v) for v in _mc_accumulate(mc_trials, seed,
-                                                        threads, worker))
+            if sampled is None:
+                counts = _mc_accumulate(mc_trials, seed, threads, deep[-1], (
+                    lambda packed, _: np.array([
+                        [(z <= delta).sum(), (z >= 1.0 - delta).sum()]
+                        for z in _bec_leaf_samples(packed, eps, deep)])))
+                sampled = dict(zip(deep, counts.tolist()))
+            good, bad = sampled[n]
             total = mc_trials
         out.append(MeasureEstimate(
             eps=eps, depth=n, delta_good=delta, delta_bad=delta,
@@ -330,25 +360,27 @@ def walk_distribution(n: int, trials: int | None = None,
         return WalkStats(n=n, counts_by_crossings=counts, total=1 << n,
                          mode="exhaustive")
 
-    rmax = n // 2 + 1
-
-    def worker(rng: np.random.Generator, count: int) -> np.ndarray:
-        steps = rng.integers(0, 2, size=(count, n), dtype=np.int8)
-        steps = steps * 2 - 1
-        walk = np.cumsum(steps, axis=1, dtype=np.int32)
-        signs = np.sign(walk).astype(np.int8)
-        # Zeros are isolated (steps are +-1), so a zero inherits the sign
-        # one step earlier.
-        filled = signs.copy()
-        zero = filled[:, 1:] == 0
-        filled[:, 1:][zero] = signs[:, :-1][zero]
-        crossings = (filled[:, 1:] != filled[:, :-1]).sum(axis=1)
-        return np.bincount(crossings, minlength=rmax + 1).astype(np.int64)
-
-    totals = _mc_accumulate(trials, seed, threads, worker)
+    totals = _mc_accumulate(trials, seed, threads, n, _crossing_counts)
     counts = {r: int(c) for r, c in enumerate(totals) if c}
     return WalkStats(n=n, counts_by_crossings=counts, total=trials,
                      mode="monte-carlo", seed=seed)
+
+
+def _crossing_counts(packed: np.ndarray, n: int) -> np.ndarray:
+    """Histogram (n//2 + 2 bins) of the zero crossings of the walks given
+    by the first n bits of the packed rows, 1 = up.  A walk is 0 only
+    after 2k steps, k of them up, and then crosses at step 2k + 1 exactly
+    when that step repeats step 2k."""
+    bits = _step_major(packed, n)
+    half = (n - 1) // 2
+    ups = bits[0:2 * half:2] + bits[1:2 * half:2]
+    repeat = bits[2:2 * half + 1:2] == bits[1:2 * half:2]
+    ones, crossings = np.zeros((2, len(packed)),
+                               dtype=np.int16 if n < 1 << 15 else np.int64)
+    for k in range(half):
+        ones += ups[k]
+        crossings += (ones == k + 1) & repeat[k]
+    return np.bincount(crossings, minlength=n // 2 + 2)
 
 
 def crossing_count_closed_form(horizon: int, r: int) -> Fraction:
@@ -406,15 +438,27 @@ def walk_min_nonnegative_fraction(n: int, trials: int, seed: int,
     if n < 1:
         raise ValueError(f"horizon must be >= 1, got {n}")
 
-    def worker(rng: np.random.Generator, count: int) -> np.ndarray:
-        steps = rng.integers(0, 2, size=(count, n), dtype=np.int8)
-        steps = steps * 2 - 1
-        walk = np.cumsum(steps, axis=1, dtype=np.int32)
-        ok = (walk.min(axis=1) >= 0).sum()
-        return np.array([ok], dtype=np.int64)
-
-    hits = _mc_accumulate(trials, seed, threads, worker)
+    hits = _mc_accumulate(trials, seed, threads, n, _never_negative_count)
     return int(hits[0]) / trials
+
+
+def _never_negative_count(packed: np.ndarray, n: int) -> np.ndarray:
+    """Number of packed rows whose walk over their first n bits (1 = up)
+    never goes below 0, as a one-element array.  Walks go 64 steps at a
+    time and are dropped once negative, as half are at the first step."""
+    dtype = np.int32 if n < 1 << 31 else np.int64
+    pos = np.zeros((len(packed), 1), dtype=dtype)
+    for start in range(0, n, 64):
+        block = np.unpackbits(packed[:, start // 8:start // 8 + 8], axis=1,
+                              count=min(64, n - start))
+        walk = np.cumsum(block, axis=1, dtype=dtype)
+        walk *= 2
+        walk += pos - np.arange(1, block.shape[1] + 1, dtype=dtype)
+        alive = walk.min(axis=1) >= 0
+        packed, pos = packed[alive], walk[alive, -1:]
+        if not len(packed):
+            break
+    return np.array([len(packed)])
 
 
 def box_count(membership: Callable[[Fraction], bool], depth: int,

@@ -312,7 +312,8 @@ def threshold_estimate_batch(prefixes: np.ndarray, iter_budget: int = 10_000,
     lockstep (see ``threshold_estimate``).
 
     Each row takes 60 halvings of [0, 1]; a midpoint whose orbit is
-    pinned at the threshold is the answer for its row.
+    pinned at the threshold, or that equals an end of its bracket, is the
+    answer for its row.
     """
     rows = np.asarray(prefixes, dtype=np.uint8)
     if rows.ndim != 2 or rows.shape[1] == 0:
@@ -327,6 +328,11 @@ def threshold_estimate_batch(prefixes: np.ndarray, iter_budget: int = 10_000,
     active = np.arange(m)
     for _ in range(60):
         mid = 0.5 * (lo[active] + hi[active])
+        # A midpoint equal to an end of its bracket stays the midpoint
+        # whichever side it falls on, so it is already the answer.
+        stuck = (mid == lo[active]) | (mid == hi[active])
+        out[active[stuck]] = mid[stuck]
+        active, mid = active[~stuck], mid[~stuck]
         cls = _classify_batch(mid, cols[:, active], iter_budget, delta)
         pinned = cls < 0
         out[active[pinned]] = mid[pinned]

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -40,6 +41,28 @@ class TestMeasureScan:
     def test_deep_scan_requires_trials(self):
         with pytest.raises(ResourceLimitError):
             fractal.measure_scan(0.5, [26], delta=1e-3)
+
+    def test_monte_carlo_counts_match_exact_fractions(self, monkeypatch):
+        # Sampled at enumerable depths against the exact leaf fractions,
+        # each count within 5 binomial sigma.
+        eps, depths, delta, trials = 0.3, [10, 16, 20], 1e-3, 200_000
+        exact = fractal.measure_scan(eps, depths, delta)
+        monkeypatch.setattr(fractal, "MAX_LEAF_LIST_DEPTH", 0)
+        sampled = fractal.measure_scan(eps, depths, delta, mc_trials=trials,
+                                       seed=41)
+        for got, want in zip(sampled, exact):
+            for g, p in ((got.fraction_good, want.fraction_good),
+                         (got.fraction_bad, want.fraction_bad)):
+                sigma = math.sqrt(trials * p * (1 - p))
+                assert abs(g * trials - p * trials) <= 5 * sigma
+
+    def test_deep_depths_share_one_pass(self):
+        scan = fractal.measure_scan(0.3, [40, 26, 10, 40, 30], mc_trials=20000,
+                                    seed=9, threads=2)
+        assert [e.depth for e in scan] == [40, 26, 10, 40, 30]
+        assert scan[0] == scan[3]
+        alone = fractal.measure_scan(0.3, [40], mc_trials=20000, seed=9)
+        assert alone[0] == scan[0]
 
     def test_monte_carlo_deterministic(self):
         a = fractal.measure_scan(0.5, [30], mc_trials=20000, seed=9)
@@ -208,6 +231,24 @@ class TestWalkDistribution:
         b = fractal.walk_distribution(50, trials=30000, seed=3, threads=4)
         assert a.counts_by_crossings == b.counts_by_crossings
 
+    def test_monte_carlo_matches_closed_form_at_301(self):
+        # The benchmark oracle's rule: rows with at least 25 expected walks
+        # within 5 sigma, the sparse rows pooled within 5 sigma + 3.
+        n, trials = 301, 200_000
+        m = (n - 1) // 2
+        stats = fractal.walk_distribution(n, trials=trials, seed=43)
+        assert sum(stats.counts_by_crossings.values()) == trials
+        pooled_count = pooled_mean = 0.0
+        for r in range(m + 1):
+            p = float(fractal.crossing_count_closed_form(n, r))
+            mean, got = trials * p, stats.counts_by_crossings.get(r, 0)
+            if mean >= 25:
+                assert abs(got - mean) <= 5 * math.sqrt(mean * (1 - p))
+            else:
+                pooled_count += got
+                pooled_mean += mean
+        assert abs(pooled_count - pooled_mean) <= 5 * math.sqrt(pooled_mean) + 3
+
     def test_monte_carlo_tracks_exact(self):
         stats = fractal.walk_distribution(15, trials=200000, seed=17)
         exact = fractal.walk_distribution(15)
@@ -248,6 +289,14 @@ class TestMinNonnegative:
         sigma = math.sqrt(exact * (1 - exact) / trials)
         assert abs(got - exact) <= 5 * sigma
 
+    def test_matches_ballot_closed_form_past_many_blocks(self):
+        # n = 1000 runs the blocked walk through 16 blocks of 64 steps.
+        n, trials = 1000, 200000
+        exact = math.comb(n, n // 2) / 2.0**n
+        got = fractal.walk_min_nonnegative_fraction(n, trials, seed=47)
+        sigma = math.sqrt(exact * (1 - exact) / trials)
+        assert abs(got - exact) <= 5 * sigma
+
     def test_deterministic(self):
         a = fractal.walk_min_nonnegative_fraction(64, 50000, seed=5)
         b = fractal.walk_min_nonnegative_fraction(64, 50000, seed=5, threads=8)
@@ -281,3 +330,120 @@ class TestBoxCount:
     def test_validation(self):
         with pytest.raises(ValueError):
             fractal.box_count(lambda x: True, 5, 3)
+
+
+# Horizons around the byte and 64-step block edges of the packed folds.
+HORIZONS = [1, 2, 3, 7, 63, 64, 65, 130, 301]
+
+
+def packed_rows(seed, rows, n):
+    """Random packed paths, the first six rows fixed patterns: all down,
+    all up, up-down, down-up, and two that return to 0 every 4 steps."""
+    packed = np.random.default_rng(seed).integers(
+        0, 256, size=(rows, -(-n // 8)), dtype=np.uint8)
+    for i, byte in enumerate((0x00, 0xFF, 0xAA, 0x55, 0x99, 0x66)):
+        packed[i] = byte
+    return packed
+
+
+def balanced_paths(seed, rows, n, eps):
+    """Packed paths whose z never saturates, so every step shows: three
+    random steps, then the worse step (bit 1) exactly when z > 1/2, which
+    keeps z inside [1/4, 3/4]."""
+    bits = np.zeros((rows, n), dtype=np.uint8)
+    bits[:, :3] = np.random.default_rng(seed).integers(0, 2, size=(rows, 3))[:, :n]
+    z = np.full(rows, eps)
+    for t in range(n):
+        if t >= 3:
+            bits[:, t] = z > 0.5
+        z = np.where(bits[:, t] == 1, z * z, z * (2.0 - z))
+    return np.packbits(bits, axis=1)
+
+
+def sign_fill_crossings(packed, n):
+    """Crossings of each row's walk: a zero takes the sign one step
+    earlier, and a crossing is a change of that filled sign."""
+    steps = np.unpackbits(packed, axis=1, count=n).astype(np.int8) * 2 - 1
+    walk = np.cumsum(steps, axis=1, dtype=np.int32)
+    signs = np.sign(walk).astype(np.int8)
+    filled = signs.copy()
+    zero = filled[:, 1:] == 0
+    filled[:, 1:][zero] = signs[:, :-1][zero]
+    return (filled[:, 1:] != filled[:, :-1]).sum(axis=1)
+
+
+class TestPackedFolds:
+    @pytest.mark.parametrize("n", HORIZONS)
+    def test_crossings_match_sign_fill(self, n):
+        packed = packed_rows(n, 2000, n)
+        want = sign_fill_crossings(packed, n)
+        size = n // 2 + 2
+        for row, r in zip(packed[:100], want):
+            got = fractal._crossing_counts(row[None, :], n)
+            assert got.tolist() == [int(k == r) for k in range(size)]
+        got = fractal._crossing_counts(packed, n)
+        assert got.tolist() == np.bincount(want, minlength=size).tolist()
+
+    @pytest.mark.parametrize("n", HORIZONS)
+    def test_never_negative_matches_running_minimum(self, n):
+        packed = packed_rows(100 + n, 3000, n)
+        bits = np.unpackbits(packed, axis=1, count=n).astype(np.int64)
+        want = (np.cumsum(2 * bits - 1, axis=1).min(axis=1) >= 0).sum()
+        assert fractal._never_negative_count(packed, n).tolist() == [want]
+
+    @pytest.mark.parametrize("depths", [HORIZONS, [1], [7, 64], [26, 30, 40]])
+    def test_shared_measure_pass_matches_per_depth_loops(self, depths):
+        eps = 0.3
+        packed = np.vstack([packed_rows(len(depths), 400, depths[-1]),
+                            balanced_paths(len(depths), 100, depths[-1], eps)])
+        rows = len(packed)
+        bits = np.unpackbits(packed, axis=1, count=depths[-1])
+        got = fractal._bec_leaf_samples(packed, eps, depths)
+        assert len(got) == len(depths)
+        for depth, z_got in zip(depths, got):
+            z = np.full(rows, eps)
+            for t in range(depth):
+                bit = bits[:, t] == 1
+                z = np.where(bit, z * z, z * (2.0 - z))
+            assert [v.hex() for v in z_got.tolist()] == [v.hex() for v in z.tolist()]
+
+
+class TestThreadCap:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Record the max_workers of every pool started, on a host that
+        reports 64 CPUs unless a test says otherwise."""
+        sizes = []
+        real = fractal.ThreadPoolExecutor
+
+        def recorder(max_workers):
+            sizes.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(fractal, "ThreadPoolExecutor", recorder)
+        monkeypatch.setattr(fractal.os, "cpu_count", lambda: 64)
+        return sizes
+
+    @pytest.mark.parametrize("chunks,threads,used", [(2, 10_000, 2),
+                                                     (5, 8, 5), (5, 3, 3)])
+    def test_capped_at_chunk_count(self, pools, chunks, threads, used):
+        trials = (chunks - 1) * fractal._CHUNK_TRIALS + 1
+        want = fractal.walk_min_nonnegative_fraction(30, trials, seed=2)
+        assert pools == []
+        got = fractal.walk_min_nonnegative_fraction(30, trials, seed=2,
+                                                    threads=threads)
+        assert pools == [used]
+        assert got == want
+
+    @pytest.mark.parametrize("cpus", [1, None])
+    def test_capped_at_cpu_count(self, pools, monkeypatch, cpus):
+        monkeypatch.setattr(fractal.os, "cpu_count", lambda: cpus)
+        trials = 3 * fractal._CHUNK_TRIALS
+        got = fractal.walk_distribution(21, trials=trials, seed=4, threads=8)
+        assert pools == []
+        assert got == fractal.walk_distribution(21, trials=trials, seed=4)
+
+    def test_one_chunk_runs_inline(self, pools):
+        a = fractal.measure_scan(0.3, [30], mc_trials=1000, seed=5, threads=8)
+        assert pools == []
+        assert a == fractal.measure_scan(0.3, [30], mc_trials=1000, seed=5)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from polarfractal import thresholds
 from polarfractal.errors import ResourceLimitError, TrivialPeriodError
 from polarfractal.expansions import is_dyadic, real_to_expansion
 from polarfractal.polarization import apply_path
@@ -380,6 +381,49 @@ class TestThresholdCurve:
             threshold_curve(3, 0, 600)
         with pytest.raises(ResourceLimitError):
             threshold_curve(17, 40, 600)
+
+
+def unretired_estimate(prefixes, iter_budget, delta=1e-9):
+    """The batch estimator's bisection without retiring rows whose
+    midpoint equals an end of their bracket; returns the estimates and the
+    number of row classifications it made."""
+    cols = np.ascontiguousarray(prefixes.T != 0)
+    m = prefixes.shape[0]
+    lo, hi = np.zeros(m), np.ones(m)
+    out = np.full(m, np.nan)
+    active = np.arange(m)
+    classified = 0
+    for _ in range(60):
+        mid = 0.5 * (lo[active] + hi[active])
+        cls = thresholds._classify_batch(mid, cols[:, active], iter_budget, delta)
+        classified += mid.size
+        pinned = cls < 0
+        out[active[pinned]] = mid[pinned]
+        lo[active[cls == 0]] = mid[cls == 0]
+        hi[active[cls == 1]] = mid[cls == 1]
+        active = active[~pinned]
+        if active.size == 0:
+            break
+    out[active] = 0.5 * (lo[active] + hi[active])
+    return out, classified
+
+
+@pytest.mark.parametrize("m", [11, 13])
+def test_retired_brackets_match_unretired_loop(m, monkeypatch):
+    depth, budget = 40, 600
+    want, want_classified = unretired_estimate(plot_prefixes(m, depth), budget)
+    classified = []
+    classify = thresholds._classify_batch
+
+    def counting(eps, cols, iter_budget, delta):
+        classified.append(eps.size)
+        return classify(eps, cols, iter_budget, delta)
+
+    monkeypatch.setattr(thresholds, "_classify_batch", counting)
+    got = threshold_estimate_batch(plot_prefixes(m, depth), budget)
+    assert got.shape == (1 << m,)
+    assert [g.hex() for g in got.tolist()] == [w.hex() for w in want.tolist()]
+    assert sum(classified) < want_classified
 
 
 class TestClassification:
