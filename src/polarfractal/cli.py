@@ -9,6 +9,7 @@ unresolved result or violation found, 3 resource limit.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -64,7 +65,9 @@ def _thread_count(text: str) -> int:
     return n
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argparse tree, built on first use and shared by later calls."""
     parser = _Parser(prog="polarfractal",
                      description="Fractal structure of polar and Reed-Muller "
                                  "index sets: thresholds, constructions, and "

@@ -31,6 +31,8 @@ _SATURATION_CHECK_BITS = 16
 def _check_unit(z: float, name: str = "z") -> float:
     """Validate z in [0,1] up to 1e-12 slack, clamping roundoff excess."""
     z = float(z)
+    if 0.0 <= z <= 1.0:  # the clamp below keeps these as they are, -0.0 too
+        return z
     if not (-_DOMAIN_TOL <= z <= 1.0 + _DOMAIN_TOL) or z != z:
         raise ValueError(f"{name} must lie in [0, 1], got {z!r}")
     return min(max(z, 0.0), 1.0)

@@ -129,6 +129,14 @@ def _bisect_root(bits: tuple[int, ...], lo: float, hi: float,
     return root
 
 
+@lru_cache(maxsize=8)
+def _scan_grid(scan_resolution: int) -> np.ndarray:
+    """Interior points of the uniform scan grid, shared read-only."""
+    grid = np.linspace(0.0, 1.0, scan_resolution + 1)[1:-1]
+    grid.setflags(write=False)
+    return grid
+
+
 def period_fixed_points(period: Sequence[int],
                         scan_resolution: int = DEFAULT_SCAN_RESOLUTION
                         ) -> FixedPointReport:
@@ -156,7 +164,7 @@ def period_fixed_points(period: Sequence[int],
     if scan_resolution < MIN_SCAN_RESOLUTION:
         raise ValueError(f"scan_resolution must be >= {MIN_SCAN_RESOLUTION}")
 
-    grid = np.linspace(0.0, 1.0, scan_resolution + 1)[1:-1]
+    grid = _scan_grid(scan_resolution)
     d = apply_path_array(grid, period) - grid
 
     roots: list[float] = grid[d == 0.0].tolist()

@@ -1,10 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from polarfractal.cli import main
+import polarfractal
+from polarfractal.cli import build_parser, main
 from polarfractal.codes import matrix_from_bytes
 
 
@@ -241,3 +245,61 @@ class TestContract:
             assert rc == 0
             outputs.add(out)
         assert len(outputs) == 1
+
+
+SRC_DIR = os.path.dirname(os.path.dirname(polarfractal.__file__))
+
+
+def fresh_python(code, *args):
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": SRC_DIR})
+
+
+def run_fresh(argv):
+    """One call of ``main`` in a new interpreter: (exit code, stdout, stderr)."""
+    proc = fresh_python("import sys; from polarfractal.cli import main; "
+                        "sys.exit(main(sys.argv[1:]))", *argv)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def first_line(text):
+    return text.splitlines()[0] if text else ""
+
+
+class TestParserReuse:
+    def test_interleaved_calls_match_fresh_processes(self, capsys):
+        calls = [(1, ["threshold", "7/5"]),
+                 (0, ["threshold", "1/6", "--json"]),
+                 (0, ["walk", "--n", "12", "--exhaustive"]),
+                 (0, ["measure", "--eps", "0.4", "--depths", "27", "--trials",
+                      "2000", "--seed", "11", "--threads", "2"]),
+                 (1, ["threshold", "zebra"]),
+                 (1, ["threshold", "2/3", "--frobnicate"]),
+                 (0, ["threshold", "1/6", "--json"])]
+        for want_rc, argv in calls:
+            capsys.readouterr()
+            rc, out = run(argv)
+            err = capsys.readouterr().err
+            fresh_rc, fresh_out, fresh_err = run_fresh(argv)
+            assert rc == want_rc, argv
+            assert (rc, out, first_line(err)) == (fresh_rc, fresh_out,
+                                                  first_line(fresh_err)), argv
+
+    def test_help_after_other_calls_matches_fresh_process(self, capsys,
+                                                          monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        run(["threshold", "zebra"])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as done:
+            run(["threshold", "--help"])
+        assert done.value.code == 0
+        captured = capsys.readouterr()
+        assert (0, captured.out, captured.err) == run_fresh(["threshold", "--help"])
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_import_builds_no_parser(self):
+        proc = fresh_python("import polarfractal.cli as cli; "
+                            "print(cli.build_parser.cache_info().currsize)")
+        assert (proc.returncode, proc.stdout) == (0, "0\n")

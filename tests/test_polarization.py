@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,10 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polarfractal.errors import ResourceLimitError
-from polarfractal.polarization import (ChannelState, Exactness, apply_path,
-                                       apply_path_array, bec_leaf_chunks,
-                                       bec_leaf_values, better_transform,
-                                       evolve, worse_transform)
+from polarfractal.polarization import (ChannelState, Exactness, _check_unit,
+                                       apply_path, apply_path_array,
+                                       bec_leaf_chunks, bec_leaf_values,
+                                       better_transform, evolve,
+                                       worse_transform)
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 bit_lists = st.lists(st.integers(min_value=0, max_value=1), max_size=12)
@@ -197,6 +199,46 @@ def test_negative_zero_squared_to_positive_zero():
     assert same_float(apply_path(-0.0, [0, 0]), -0.0)
     assert same_float(float(apply_path_array(np.array([-0.0]), [0] * 40 + [1])[0]),
                       0.0)
+
+
+def clamping_check_unit(z, name="z"):
+    """The unit check without its in-range return: every value runs the
+    range test and the clamp."""
+    z = float(z)
+    if not (-1e-12 <= z <= 1.0 + 1e-12) or z != z:
+        raise ValueError(f"{name} must lie in [0, 1], got {z!r}")
+    return min(max(z, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("z", [
+    -0.0, 0.0, 5e-324, 0.5, math.nextafter(1.0, 0.0), 1.0, np.float64(0.25),
+    Fraction(1, 3), -5e-13, 1.0 + 5e-13])
+def test_check_unit_matches_clamping_check(z):
+    assert _check_unit(z).hex() == clamping_check_unit(z).hex()
+
+
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, 1.1])
+def test_check_unit_rejects_like_clamping_check(z):
+    with pytest.raises(ValueError) as want:
+        clamping_check_unit(z)
+    with pytest.raises(ValueError) as got:
+        _check_unit(z)
+    assert str(got.value) == str(want.value)
+
+
+def test_apply_path_matches_loop_checking_every_step():
+    def checked_loop(z, bits):
+        v = clamping_check_unit(z)
+        for b in bits:
+            v = clamping_check_unit(v)
+            v = v * v if b else v * (2.0 - v)
+        return v
+
+    rng = random.Random(5231)
+    zs = [0.0, -0.0, 1.0, 5e-324, *(rng.random() for _ in range(200))]
+    for z in zs:
+        bits = [rng.randrange(2) for _ in range(rng.randrange(0, 300))]
+        assert apply_path(z, bits).hex() == checked_loop(z, bits).hex(), (z, bits)
 
 
 def test_channel_state_capacity_flag():

@@ -446,3 +446,48 @@ class TestClassification:
     def test_eps_domain(self, eps):
         with pytest.raises(ValueError):
             classify_bec_channel(Fraction(1, 3), eps)
+
+
+def doubling_period(x):
+    """Period of the binary expansion of a purely periodic x, read off the
+    doubling map until the orbit returns to x."""
+    r, bits = x, []
+    while True:
+        r *= 2
+        bits.append(int(r >= 1))
+        r -= bits[-1]
+        if r == x:
+            return bits
+
+
+def exact_gap(z, bits):
+    """p(z) - z in exact rational arithmetic."""
+    v = z
+    for b in bits:
+        v = v * v if b else v * (2 - v)
+    return v - z
+
+
+def test_thresholds_agree_with_independent_oracles():
+    # Odd q gives a purely periodic expansion; every third denominator is
+    # drawn from those whose period fits the exact check.
+    odd = range(3, 400, 2)
+    exact_sized = [q for q in odd if len(doubling_period(Fraction(1, q))) <= 12]
+    rng = random.Random(1506052)
+    xs = []
+    while len(xs) < 40:
+        q = rng.choice(odd if len(xs) % 3 else exact_sized)
+        x = Fraction(rng.randrange(1, q), q)
+        if x.denominator > 1:
+            xs.append(x)
+    short = 0
+    for x in xs:
+        period = doubling_period(x)
+        theta = threshold_of_rational(x).theta
+        assert abs(theta - threshold_estimate(period)) <= 1e-9, x
+        if len(period) <= 12:
+            short += 1
+            below = exact_gap(Fraction(theta) - Fraction(1, 10**9), period)
+            above = exact_gap(Fraction(theta) + Fraction(1, 10**9), period)
+            assert below * above < 0, x
+    assert short >= 14
