@@ -11,19 +11,18 @@ from .expansions import (ExpansionSpec, Variant, bits_of_index,
                          row_index)
 from .fractal import (HeavyImplicationViolation, MeasureEstimate,
                       ThresholdOrderViolation, WalkStats, binary_entropy,
-                      box_count, cell_bounds, cell_index, cell_shift_pair,
+                      cell_bounds, cell_index, cell_shift_pair,
                       crossing_cdf_bound, crossing_count_closed_form,
                       entropy_count, feller_identity_table,
                       heavy_selfsim_check, measure_scan,
                       selfsim_threshold_check, walk_distribution,
                       walk_min_nonnegative_fraction)
-from .polarization import (ChannelState, Exactness, PathEvolution, apply_path,
-                           apply_path_array, bec_leaf_chunks, bec_leaf_values,
-                           better_transform, evolve, worse_transform)
+from .polarization import (apply_path, apply_path_array, bec_leaf_chunks,
+                           bec_leaf_values, better_transform, worse_transform)
 from .thresholds import (BecClass, Certainty, FixedPoint, FixedPointReport,
                          Stability, ThresholdResult, classify_bec_channel,
                          period_fixed_points, threshold_curve,
-                         threshold_estimate, threshold_estimate_batch,
-                         threshold_of_rational, verify_symmetry)
+                         threshold_estimate_batch, threshold_of_rational,
+                         verify_symmetry)
 
 __version__ = "0.1.0"

@@ -256,7 +256,7 @@ def _random_cell_samples(rng: random.Random, n: int, k: int, count: int,
 def _cmd_selfsim(args, out) -> int:
     if args.set == "heavy" and args.rho is None:
         raise _UsageError("--rho is required for --set heavy")
-    cells = [args.cell] if args.cell else list(range(1, (1 << args.n) + 1))
+    cells = list(range(1, (1 << args.n) + 1)) if args.cell is None else [args.cell]
     rng = random.Random(args.seed)
     checked = 0
     violations = []

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 class Variant(Enum):
@@ -25,14 +25,17 @@ _BITS_TO_CHARS = bytes.maketrans(bytes([0, 1]), b"01")
 _CHARS_TO_BITS = bytes.maketrans(b"01", bytes([0, 1]))
 
 
-def _as_bits(bits: Sequence[int]) -> tuple[int, ...]:
+def _as_bits(bits: Iterable[int]) -> tuple[int, ...]:
+    """0/1 bits of any iterable; numpy arrays are read through ``tolist``."""
+    if hasattr(bits, "tolist"):
+        bits = bits.tolist()
     if isinstance(bits, (int, str)):
         raise ValueError(f"bits must be a 0/1 sequence, got {bits!r}")
     try:
         raw = bytes(bits)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"bits must be a 0/1 sequence, got {bits!r}") from exc
-    if raw and max(raw) > 1:
+    if raw.translate(None, b"\x00\x01"):  # a byte other than 0 or 1 is left
         raise ValueError(f"bits must be 0/1, got {bits!r}")
     return tuple(raw)
 
@@ -77,10 +80,6 @@ class ExpansionSpec:
                 preamble = preamble[:-1]
         object.__setattr__(self, "preamble", preamble)
         object.__setattr__(self, "period", period)
-
-    @property
-    def terminating(self) -> bool:
-        return not self.period
 
     def bit_at(self, m: int) -> int:
         """Digit b_m of the expansion, positions starting at 1."""

@@ -60,14 +60,6 @@ class WalkStats:
     def probability(self, r: int) -> Fraction:
         return Fraction(self.counts_by_crossings.get(r, 0), self.total)
 
-    def cumulative(self, r: int) -> Fraction:
-        got = sum(c for k, c in self.counts_by_crossings.items() if k <= r)
-        return Fraction(got, self.total)
-
-    @property
-    def max_crossings(self) -> int:
-        return max(self.counts_by_crossings) if self.counts_by_crossings else 0
-
 
 @dataclass(frozen=True)
 class ThresholdOrderViolation:
@@ -459,18 +451,3 @@ def _never_negative_count(packed: np.ndarray, n: int) -> np.ndarray:
         if not len(packed):
             break
     return np.array([len(packed)])
-
-
-def box_count(membership: Callable[[Fraction], bool], depth: int,
-              sampler_depth: int) -> int:
-    """Number of depth-``depth`` dyadic cells holding at least one member
-    among the depth-``sampler_depth`` grid points j/2^m."""
-    if depth < 0 or sampler_depth < depth:
-        raise ValueError("sampler_depth must be >= depth >= 0")
-    last_cell = (1 << depth) - 1
-    shift = sampler_depth - depth
-    covered: set[int] = set()
-    for j in range((1 << sampler_depth) + 1):
-        if membership(Fraction(j, 1 << sampler_depth)):
-            covered.add(min(j >> shift, last_cell))
-    return len(covered)

@@ -3,13 +3,11 @@
 The worse/better transforms act on Bhattacharyya parameters z in [0,1].
 For a binary erasure channel both steps are exact (z is the erasure
 probability); for any other binary-input channel the worse step only gives
-an upper bound, which the ``Exactness`` flag tracks.
+an upper bound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -38,52 +36,6 @@ def _check_unit(z: float, name: str = "z") -> float:
     return min(max(z, 0.0), 1.0)
 
 
-class Exactness(Enum):
-    BEC_EXACT = "bec-exact"
-    UPPER_BOUND = "upper-bound"
-
-
-@dataclass(frozen=True)
-class ChannelState:
-    """Bhattacharyya value of a binary-input channel.
-
-    ``BEC_EXACT`` means z is the erasure probability of an actual BEC, so
-    both transforms stay exact and capacity is 1 - z.  ``UPPER_BOUND``
-    means z only dominates the true Bhattacharyya parameter.
-    """
-
-    z: float
-    exactness: Exactness = Exactness.BEC_EXACT
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "z", _check_unit(self.z))
-
-    @property
-    def capacity(self) -> float:
-        if self.exactness is not Exactness.BEC_EXACT:
-            raise ValueError("capacity accessor requires an exact BEC state")
-        return 1.0 - self.z
-
-    def worse(self) -> "ChannelState":
-        return ChannelState(worse_transform(self.z), self.exactness)
-
-    def better(self) -> "ChannelState":
-        return ChannelState(better_transform(self.z), self.exactness)
-
-
-@dataclass(frozen=True)
-class PathEvolution:
-    """Trace of Bhattacharyya values along one combining/splitting path."""
-
-    initial: float
-    bits: tuple[int, ...]
-    trace: tuple[float, ...]
-
-    @property
-    def final(self) -> float:
-        return self.trace[-1] if self.trace else self.initial
-
-
 def worse_transform(z: float) -> float:
     """Map z to 2z - z^2 (bit 0, the degraded branch)."""
     z = _check_unit(z)
@@ -94,13 +46,6 @@ def better_transform(z: float) -> float:
     """Map z to z^2 (bit 1, the upgraded branch)."""
     z = _check_unit(z)
     return z * z
-
-
-def _check_bits(bits: Sequence[int]) -> tuple[int, ...]:
-    out = tuple(map(int, bits))
-    if not set(out) <= {0, 1}:
-        raise ValueError(f"bits must be 0/1, got {bits!r}")
-    return out
 
 
 def apply_path(z: float, bits: Sequence[int]) -> float:
@@ -152,17 +97,6 @@ def apply_path_array(z: np.ndarray, bits: Sequence[int]) -> np.ndarray:
                 np.multiply(v, v, out=v)
             break
     return v
-
-
-def evolve(z0: float, bits: Sequence[int]) -> PathEvolution:
-    """Evolve z0 along ``bits``, recording the value after every step."""
-    bits = _check_bits(bits)
-    v = _check_unit(z0)
-    trace = []
-    for b in bits:
-        v = v * v if b else v * (2.0 - v)
-        trace.append(v)
-    return PathEvolution(initial=_check_unit(z0), bits=bits, trace=tuple(trace))
 
 
 def _expand_leaves(z: np.ndarray, depth: int) -> np.ndarray:

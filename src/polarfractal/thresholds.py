@@ -21,8 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ResourceLimitError, TrivialPeriodError
-from .expansions import is_dyadic, real_to_expansion
-from .polarization import _check_bits, apply_path, apply_path_array
+from .expansions import _as_bits, is_dyadic, real_to_expansion
+from .polarization import apply_path, apply_path_array
 
 DEFAULT_SCAN_RESOLUTION = 1 << 12
 MIN_SCAN_RESOLUTION = 1 << 10
@@ -46,7 +46,6 @@ class Stability(Enum):
 
 class Certainty(Enum):
     EXACT_BEC = "exact-bec"
-    PREFIX_ESTIMATE = "prefix-estimate"
 
 
 class BecClass(Enum):
@@ -156,7 +155,7 @@ def period_fixed_points(period: Sequence[int],
     saturates within a few dozen to a few hundred bits, so the cost no
     longer grows with the full period length.
     """
-    period = _check_bits(period)
+    period = _as_bits(period)
     if not period or 0 not in period or 1 not in period:
         raise TrivialPeriodError(
             f"period {period!r} has no interior fixed point; only the "
@@ -252,21 +251,6 @@ def threshold_of_rational(x: Fraction | int | str,
     return _threshold_cached(x, scan_resolution)
 
 
-def threshold_estimate(prefix: Sequence[int], iter_budget: int = 10_000,
-                       delta: float = 1e-9) -> float:
-    """Bisection estimate of the threshold of an infinite sequence seen
-    only through a finite prefix: a one-row ``threshold_estimate_batch``,
-    so each bit of each orbit step costs numpy calls on one-element arrays.
-
-    The continuation is taken to repeat the full prefix, which makes the
-    estimate the threshold of the rational whose expansion period is the
-    prefix; the paper-level object is defined for full infinite sequences
-    only, so this is a plotting approximation.
-    """
-    row = np.array([_check_bits(prefix)], dtype=np.uint8)
-    return float(threshold_estimate_batch(row, iter_budget, delta)[0])
-
-
 def _apply_rows(v: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """The prefix map of every row; ``cols[j]`` is the mask of rows whose
     bit j is 1.  ``out * out`` and ``out * (2 - out)``, as in ``apply_path``.
@@ -316,8 +300,10 @@ def _classify_batch(eps: np.ndarray, cols: np.ndarray, iter_budget: int,
 
 def threshold_estimate_batch(prefixes: np.ndarray, iter_budget: int = 10_000,
                              delta: float = 1e-9) -> np.ndarray:
-    """Threshold estimates for the rows of a 0/1 matrix, bisected in
-    lockstep (see ``threshold_estimate``).
+    """Threshold estimates for the rows of a 0/1 matrix of prefixes,
+    bisected in lockstep.  Each prefix is taken to repeat forever, which
+    gives the threshold of the rational with that expansion period: a
+    plotting approximation, as the paper's thresholds need infinite sequences.
 
     Each row takes 60 halvings of [0, 1]; a midpoint whose orbit is
     pinned at the threshold, or that equals an end of its bracket, is the

@@ -146,6 +146,18 @@ class TestSelfsim:
                      "--seed", "3"])
         assert rc == 1
 
+    @pytest.mark.parametrize("cell", ["0", "5", "-1"])
+    def test_cell_out_of_range(self, cell):
+        rc, out = run(["selfsim", "--n", "2", "--cell", cell, "--samples", "2",
+                       "--seed", "1"])
+        assert (rc, out) == (1, "")
+
+    def test_single_cell(self):
+        rc, out = run(["selfsim", "--n", "2", "--cell", "4", "--samples", "2",
+                       "--seed", "1"])
+        assert rc == 0
+        assert "checked = 2" in out
+
     def test_json(self):
         rc, out = run(["selfsim", "--n", "1", "--samples", "3", "--seed", "7",
                        "--json"])

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -146,6 +147,41 @@ def test_hamming_weight():
     assert hamming_weight([]) == 0
     assert hamming_weight([1, 0, 1]) == 2
     assert hamming_weight([1] * 9) == 9
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.bool_])
+class TestNumpyBits:
+    """A numpy bit array counts as its ``tolist()``, not as its raw buffer."""
+
+    def test_row_index(self, dtype):
+        assert row_index(np.array([1, 1], dtype=dtype)) == 3
+        bits = [1, 0, 1, 1, 0, 0, 1, 0, 1]
+        assert row_index(np.array(bits, dtype=dtype)) == row_index(bits)
+
+    def test_hamming_weight(self, dtype):
+        assert hamming_weight(np.array([1, 0, 1, 1], dtype=dtype)) == 3
+        assert hamming_weight(np.array([], dtype=dtype)) == 0
+
+    def test_expansion_spec(self, dtype):
+        assert ExpansionSpec((), np.array([1, 1], dtype=dtype)) == \
+            ExpansionSpec((), (1,))
+        spec = ExpansionSpec(np.array([1, 0], dtype=dtype),
+                             np.array([0, 1, 1], dtype=dtype))
+        assert spec == ExpansionSpec((1, 0), (0, 1, 1))
+        assert expansion_to_real(spec) == Fraction(17, 28)
+
+
+@pytest.mark.parametrize("bad", ["0101", "", 3, True, [1.0, 0.0], [0, 2],
+                                 [1, -1], np.array([1.0, 0.0]),
+                                 np.array([[1, 0]]), np.array(1),
+                                 np.array([0, 2])])
+def test_bit_validation_rejects(bad):
+    with pytest.raises(ValueError):
+        row_index(bad)
+    with pytest.raises(ValueError):
+        hamming_weight(bad)
+    with pytest.raises(ValueError):
+        ExpansionSpec((), bad)
 
 
 class TestSimpleNormality:

@@ -12,7 +12,6 @@ from polarfractal import fractal
 from polarfractal.codes import heavy_membership
 from polarfractal.errors import ResourceLimitError
 from polarfractal.expansions import is_dyadic
-from polarfractal.thresholds import BecClass, classify_bec_channel
 
 
 class TestMeasureScan:
@@ -306,30 +305,6 @@ class TestMinNonnegative:
         f100 = fractal.walk_min_nonnegative_fraction(100, 100000, seed=1)
         f400 = fractal.walk_min_nonnegative_fraction(400, 100000, seed=1)
         assert f400 < f100
-
-
-class TestBoxCount:
-    def test_empty_predicate(self):
-        assert fractal.box_count(lambda x: False, 4, 6) == 0
-
-    def test_good_set_covers_everything(self):
-        member = lambda x: classify_bec_channel(x, 0.5) in (
-            BecClass.GOOD, BecClass.BOTH_GOOD_AND_BAD)
-        for n in (2, 4, 6):
-            assert fractal.box_count(member, n, n + 2) == 1 << n
-
-    def test_heavy_set_covers_everything(self):
-        member = lambda x: heavy_membership(x, Fraction(9, 10))
-        for n in (2, 5):
-            assert fractal.box_count(member, n, n + 1) == 1 << n
-
-    def test_half_interval_predicate(self):
-        member = lambda x: x < Fraction(1, 2)
-        assert fractal.box_count(member, 3, 5) == 4
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            fractal.box_count(lambda x: True, 5, 3)
 
 
 # Horizons around the byte and 64-step block edges of the packed folds.

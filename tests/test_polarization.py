@@ -8,10 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polarfractal.errors import ResourceLimitError
-from polarfractal.polarization import (ChannelState, Exactness, _check_unit,
-                                       apply_path, apply_path_array,
-                                       bec_leaf_chunks, bec_leaf_values,
-                                       better_transform, evolve,
+from polarfractal.polarization import (_check_unit, apply_path,
+                                       apply_path_array, bec_leaf_chunks,
+                                       bec_leaf_values, better_transform,
                                        worse_transform)
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -73,25 +72,24 @@ def test_monotonicity_on_grid():
 def test_evolve_known_composition():
     # bits [1,0]: square first, then the worse step: 2 z^2 - z^4.
     for eps in (0.1, 0.3, 0.5, 0.9):
-        out = evolve(eps, [1, 0])
-        assert out.final == pytest.approx(2 * eps**2 - eps**4, abs=1e-15)
-        assert len(out.trace) == 2
-        assert out.trace[0] == eps * eps
+        assert apply_path(eps, [1]) == eps * eps
+        assert apply_path(eps, [1, 0]) == pytest.approx(2 * eps**2 - eps**4,
+                                                        abs=1e-15)
 
 
 def test_evolve_empty_is_identity():
-    assert evolve(0.375, []).final == 0.375
+    assert apply_path(0.375, []) == 0.375
 
 
 def test_evolve_golden_ratio_fixed_point():
     phi = (math.sqrt(5.0) - 1.0) / 2.0
-    assert evolve(phi, [1, 0]).final == pytest.approx(phi, abs=1e-15)
+    assert apply_path(phi, [1, 0]) == pytest.approx(phi, abs=1e-15)
 
 
 @given(unit_floats, bit_lists, bit_lists)
 def test_composition_associativity(z, u, v):
-    whole = evolve(z, list(u) + list(v)).final
-    split = evolve(evolve(z, u).final, v).final
+    whole = apply_path(z, list(u) + list(v))
+    split = apply_path(apply_path(z, u), v)
     assert whole == split  # bit-exact
 
 
@@ -239,13 +237,3 @@ def test_apply_path_matches_loop_checking_every_step():
     for z in zs:
         bits = [rng.randrange(2) for _ in range(rng.randrange(0, 300))]
         assert apply_path(z, bits).hex() == checked_loop(z, bits).hex(), (z, bits)
-
-
-def test_channel_state_capacity_flag():
-    exact = ChannelState(0.25)
-    assert exact.capacity == 0.75
-    bound = ChannelState(0.25, Exactness.UPPER_BOUND)
-    with pytest.raises(ValueError):
-        _ = bound.capacity
-    assert bound.worse().exactness is Exactness.UPPER_BOUND
-    assert exact.better().z == 0.0625

@@ -15,11 +15,16 @@ from polarfractal.thresholds import (BecClass, Certainty, FixedPoint,
                                      _path_value_and_derivative,
                                      classify_bec_channel,
                                      period_fixed_points, threshold_curve,
-                                     threshold_estimate,
                                      threshold_estimate_batch,
                                      threshold_of_rational, verify_symmetry)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def estimate(prefix, **kwargs):
+    """A one-row ``threshold_estimate_batch`` call."""
+    row = np.array([prefix], dtype=np.uint8)
+    return float(threshold_estimate_batch(row, **kwargs)[0])
 
 
 def bisect_oracle(f, lo, hi, iters=200):
@@ -94,6 +99,19 @@ class TestPeriodFixedPoints:
     def test_scan_resolution_floor(self):
         with pytest.raises(ValueError):
             period_fixed_points([1, 0], scan_resolution=512)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.bool_])
+    def test_numpy_period(self, dtype):
+        period = (1, 1, 0, 1, 0)
+        got = period_fixed_points(np.array(period, dtype=dtype))
+        assert got == period_fixed_points(period)
+        assert got.period == period
+
+    @pytest.mark.parametrize("bad", ["0101", [1.0, 0.0], np.array([1.0, 0.0]),
+                                     [1, 0, 2]])
+    def test_bad_bits_rejected(self, bad):
+        with pytest.raises(ValueError):
+            period_fixed_points(bad)
 
 
 def scalar_scan_report(period, resolution=4096):
@@ -238,14 +256,14 @@ def test_path_value_and_derivative_saturation_exit_matches_full_loop():
 
 class TestThresholdEstimate:
     def test_all_ones_prefix(self):
-        assert threshold_estimate([1]) == pytest.approx(1.0, abs=1e-6)
+        assert estimate([1]) == pytest.approx(1.0, abs=1e-6)
 
     def test_all_zeros_prefix(self):
-        assert threshold_estimate([0]) == pytest.approx(0.0, abs=1e-6)
+        assert estimate([0]) == pytest.approx(0.0, abs=1e-6)
 
     def test_two_thirds_prefix(self):
         prefix = real_to_expansion(Fraction(2, 3)).prefix(40)
-        assert threshold_estimate(prefix) == pytest.approx(GOLDEN, abs=1e-4)
+        assert estimate(prefix) == pytest.approx(GOLDEN, abs=1e-4)
 
     def test_estimate_matches_exact_on_corpus(self):
         # Depth-40 prefixes of 100 random rationals against the exact path.
@@ -262,18 +280,11 @@ class TestThresholdEstimate:
         estimates = threshold_estimate_batch(np.array(prefixes, dtype=np.uint8))
         assert np.abs(estimates - np.array(exact)).max() <= 1e-3
 
-    def test_batch_matches_scalar(self):
-        prefixes = [real_to_expansion(Fraction(p, 9)).prefix(24)
-                    for p in (1, 2, 4, 5, 7, 8)]
-        batch = threshold_estimate_batch(np.array(prefixes, dtype=np.uint8))
-        for row, want in zip(prefixes, batch):
-            assert threshold_estimate(row) == want
-
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            threshold_estimate([])
+            estimate([])
         with pytest.raises(ValueError):
-            threshold_estimate([1, 0], delta=0.7)
+            estimate([1, 0], delta=0.7)
 
 
 def full_budget_estimate(prefixes, iter_budget, delta=1e-9):
@@ -352,7 +363,7 @@ class TestThresholdCurve:
         row = plot_prefixes(11, 40)[1365]
         want, pinned = full_budget_estimate(row[None, :], 2000)
         assert pinned[0]
-        got = threshold_estimate(row.tolist(), iter_budget=2000)
+        got = estimate(row, iter_budget=2000)
         assert got.hex() == want[0].hex()
 
     @pytest.mark.parametrize("prefix", [
@@ -361,7 +372,7 @@ class TestThresholdCurve:
         [1, 0] * 150, [0, 1, 1], [1, 0, 0, 0, 1, 1, 0, 1] * 40])
     def test_scalar_matches_full_budget(self, prefix):
         want, _ = full_budget_estimate(np.array([prefix], dtype=np.uint8), 600)
-        assert threshold_estimate(prefix, iter_budget=600).hex() == want[0].hex()
+        assert estimate(prefix, iter_budget=600).hex() == want[0].hex()
 
     @pytest.mark.parametrize("m,depth", [(1, 1), (3, 2), (4, 4), (5, 9), (6, 13)])
     def test_short_and_long_depths(self, m, depth):
@@ -484,7 +495,7 @@ def test_thresholds_agree_with_independent_oracles():
     for x in xs:
         period = doubling_period(x)
         theta = threshold_of_rational(x).theta
-        assert abs(theta - threshold_estimate(period)) <= 1e-9, x
+        assert abs(theta - estimate(period)) <= 1e-9, x
         if len(period) <= 12:
             short += 1
             below = exact_gap(Fraction(theta) - Fraction(1, 10**9), period)
