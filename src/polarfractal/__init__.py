@@ -17,7 +17,7 @@ from .fractal import (HeavyImplicationViolation, MeasureEstimate,
                       heavy_selfsim_check, measure_scan,
                       selfsim_threshold_check, walk_distribution,
                       walk_min_nonnegative_fraction)
-from .polarization import (apply_path, apply_path_array, bec_leaf_chunks,
+from .polarization import (apply_path, apply_path_array, bec_leaf_counts,
                            bec_leaf_values, better_transform, worse_transform)
 from .thresholds import (BecClass, Certainty, FixedPoint, FixedPointReport,
                          Stability, ThresholdResult, classify_bec_channel,

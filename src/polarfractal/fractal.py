@@ -21,7 +21,7 @@ import numpy as np
 
 from .codes import heavy_membership
 from .errors import ResourceLimitError
-from .polarization import MAX_LEAF_LIST_DEPTH, bec_leaf_chunks
+from .polarization import MAX_LEAF_LIST_DEPTH, bec_leaf_counts
 from .thresholds import threshold_of_rational
 from .expansions import is_dyadic
 
@@ -153,7 +153,7 @@ def measure_scan(eps: float, depths: Sequence[int], delta: float = 1e-3,
     """Fraction of depth-n channels already close to perfect or useless.
 
     A leaf counts as good when z <= delta and bad when z >= 1 - delta.
-    Depths up to 24 are enumerated exhaustively (streamed, exact counts);
+    Depths up to 24 are counted exactly, all in one pruned pass;
     beyond that paths are Monte Carlo sampled, which requires ``mc_trials``
     and ``seed``.  All sampled depths are read off the same paths, so their
     rows are correlated.  The fractions trend toward 1 - eps and eps.
@@ -162,6 +162,9 @@ def measure_scan(eps: float, depths: Sequence[int], delta: float = 1e-3,
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     if not 0.0 < delta < 0.5:
         raise ValueError(f"delta must lie in (0, 0.5), got {delta}")
+    # Exact depths come from one pass; checks still run in depth order.
+    exact = [n for n in depths if 0 <= n <= MAX_LEAF_LIST_DEPTH]
+    exact_counts = dict(zip(exact, bec_leaf_counts(eps, exact, delta)))
     # Sampled depths share paths, drawn once when the first is reached.
     deep = sorted({n for n in depths if n > MAX_LEAF_LIST_DEPTH})
     sampled = None
@@ -170,11 +173,8 @@ def measure_scan(eps: float, depths: Sequence[int], delta: float = 1e-3,
         if n < 0:
             raise ValueError(f"depth must be >= 0, got {n}")
         if n <= MAX_LEAF_LIST_DEPTH:
-            good = bad = 0
+            good, bad = exact_counts[n]
             total = 1 << n
-            for z in bec_leaf_chunks(eps, n):
-                good += int((z <= delta).sum())
-                bad += int((z >= 1.0 - delta).sum())
         else:
             if mc_trials is None:
                 raise ResourceLimitError(

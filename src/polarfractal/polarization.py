@@ -8,7 +8,7 @@ an upper bound.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -17,8 +17,8 @@ from .errors import ResourceLimitError
 # Largest depth for which a full leaf array is materialized (2**24 values).
 MAX_LEAF_LIST_DEPTH = 24
 
-# Depth of the vectorized sub-trees used by the streaming enumeration.
-_CHUNK_DEPTH = 20
+# Depth of the sub-trees that ``bec_leaf_counts`` splits one at a time.
+_SUBTREE_DEPTH = 20
 
 _DOMAIN_TOL = 1e-12
 
@@ -99,50 +99,60 @@ def apply_path_array(z: np.ndarray, bits: Sequence[int]) -> np.ndarray:
     return v
 
 
-def _expand_leaves(z: np.ndarray, depth: int) -> np.ndarray:
-    """Split every value ``depth`` more times, keeping first-bit-major order."""
-    for _ in range(depth):
-        nxt = np.empty(2 * z.size, dtype=np.float64)
-        nxt[0::2] = z * (2.0 - z)
-        nxt[1::2] = z * z
-        z = nxt
-    return z
-
-
 def bec_leaf_values(eps: float, n: int) -> np.ndarray:
     """All 2^n exact BEC Bhattacharyya values at depth n.
 
     Leaf index reads the path as a binary number with the first-applied
     bit as the most significant bit, so leaf index equals the Kronecker
-    row index of the path.  Raises ResourceLimitError past depth 24;
-    use :func:`bec_leaf_chunks` for streaming statistics beyond that.
+    row index of the path.  Raises ResourceLimitError past depth 24.
     """
     eps = _check_unit(eps, "eps")
     if n < 0:
         raise ValueError(f"depth must be >= 0, got {n}")
     if n > MAX_LEAF_LIST_DEPTH:
         raise ResourceLimitError(
-            f"2^{n} leaves exceed the list budget (depth <= {MAX_LEAF_LIST_DEPTH}); "
-            "use bec_leaf_chunks")
-    return _expand_leaves(np.array([eps], dtype=np.float64), n)
+            f"2^{n} leaves exceed the list budget (depth <= {MAX_LEAF_LIST_DEPTH})")
+    z = np.array([eps])
+    for _ in range(n):  # first-bit-major order
+        nxt = np.empty(2 * z.size)
+        nxt[0::2] = z * (2.0 - z)
+        nxt[1::2] = z * z
+        z = nxt
+    return z
 
 
-def bec_leaf_chunks(eps: float, n: int,
-                    chunk_depth: int = _CHUNK_DEPTH) -> Iterator[np.ndarray]:
-    """Yield the depth-n leaf values in index order, in bounded chunks.
-
-    Each chunk is the sub-tree below one prefix of the first ``n -
-    chunk_depth`` bits, so memory stays at 2^chunk_depth floats while the
-    full multiset is folded exactly once.
+def bec_leaf_counts(eps: float, depths: Sequence[int],
+                    delta: float) -> list[tuple[int, int]]:
+    """Exact numbers of good (z <= delta) and bad (z >= 1 - delta) leaves
+    at each depth in ``depths``, in one pass down to the deepest, D.  Below
+    the first max(0, D - 20) levels each sub-tree is split on its own, so
+    at most 2^20 values are live.  A node that is exactly 0.0 or 1.0,
+    which both maps fix, is not split but counted for all its
+    descendants; only a square reaches 0.0, only a worse step 1.0.
     """
-    eps = _check_unit(eps, "eps")
-    if n < 0:
-        raise ValueError(f"depth must be >= 0, got {n}")
-    if n <= chunk_depth:
-        yield bec_leaf_values(eps, n)
-        return
-    prefix_len = n - chunk_depth
-    for j in range(1 << prefix_len):
-        bits = [(j >> (prefix_len - 1 - i)) & 1 for i in range(prefix_len)]
-        z0 = apply_path(eps, bits)
-        yield _expand_leaves(np.array([z0], dtype=np.float64), chunk_depth)
+    top = max(depths, default=0)
+    if top > MAX_LEAF_LIST_DEPTH:
+        raise ResourceLimitError(
+            f"exact counts are capped at depth {MAX_LEAF_LIST_DEPTH}")
+    split = max(0, top - _SUBTREE_DEPTH)
+    counts = {}
+    for n in depths:
+        z = bec_leaf_values(eps, n) if n <= split else np.empty(0)
+        counts[n] = [np.count_nonzero(z <= delta),
+                     np.count_nonzero(z >= 1.0 - delta)]
+    for root in bec_leaf_values(eps, split):
+        zeros = ones = 0
+        worse, better = np.array([root]), np.empty(0)
+        for depth in range(split + 1, top + 1):
+            live_w, live_b = worse != 1.0, better != 0.0
+            zeros = 2 * (zeros + live_b.size - np.count_nonzero(live_b))
+            ones = 2 * (ones + live_w.size - np.count_nonzero(live_w))
+            z = np.concatenate((worse[live_w], better[live_b]))
+            worse, better = z * (2.0 - z), z * z
+            if depth in counts:
+                c = counts[depth]
+                c[0] += zeros + np.count_nonzero(worse <= delta) \
+                    + np.count_nonzero(better <= delta)
+                c[1] += ones + np.count_nonzero(worse >= 1.0 - delta) \
+                    + np.count_nonzero(better >= 1.0 - delta)
+    return [(int(good), int(bad)) for good, bad in map(counts.get, depths)]

@@ -34,6 +34,9 @@ NON_POLARIZED_BAND = 1e-10
 # Entries kept by the threshold cache (least recently used evicted first).
 _THRESHOLD_CACHE_SIZE = 1 << 12
 
+# Rows of the prefix estimator run together; they are independent.
+_ROW_BLOCK = 1 << 12
+
 _STABILITY_PROBE = 1e-6
 _ROOT_MERGE_TOL = 1e-9
 
@@ -251,21 +254,25 @@ def threshold_of_rational(x: Fraction | int | str,
     return _threshold_cached(x, scan_resolution)
 
 
-def _apply_rows(v: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The prefix map of every row; ``cols[j]`` is the mask of rows whose
-    bit j is 1.  ``out * out`` and ``out * (2 - out)``, as in ``apply_path``.
+def _apply_rows(v: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """The prefix map of every row: s = +-z goes to s * (D[j] - s) with
+    D[j] = ``steps[j]``, 0 for a 1 bit (-(z * z)) and 2 with the sign of s
+    for a 0 bit (z * (2 - z)), the products of ``apply_path`` up to an
+    exact sign.  Both maps fix 0.0 and 1.0, so the walk stops once every
+    |s| is one of them; this is checked after 16, 32, 64, ... bits."""
+    s = v.copy()
+    t = np.empty_like(s)
+    for j, d in enumerate(steps, 1):
+        np.subtract(d, s, out=t)
+        np.multiply(s, t, out=s)
+        if j >= 16 and j & (j - 1) == 0:
+            a = np.abs(s, out=t)
+            if ((a == 0.0) | (a == 1.0)).all():
+                break
+    return np.abs(s, out=s)
 
-    Both maps fix 0.0 and 1.0 exactly, so the walk stops once every value
-    is one of them; this is checked after 16, 32, 64, ... bits."""
-    out = v
-    for j, bit in enumerate(cols, 1):
-        out = out * np.where(bit, out, 2.0 - out)
-        if j >= 16 and j & (j - 1) == 0 and ((out == 0.0) | (out == 1.0)).all():
-            break
-    return out
 
-
-def _classify_batch(eps: np.ndarray, cols: np.ndarray, iter_budget: int,
+def _classify_batch(eps: np.ndarray, steps: np.ndarray, iter_budget: int,
                     delta: float) -> np.ndarray:
     """Side of the threshold of each row: 0 once its orbit under the
     prefix map is trapped below ``delta``, 1 once above ``1 - delta``,
@@ -278,11 +285,11 @@ def _classify_batch(eps: np.ndarray, cols: np.ndarray, iter_budget: int,
     """
     res = np.full(eps.size, -1, dtype=np.int8)
     idx = np.arange(eps.size)
-    v = _apply_rows(eps, cols)
+    v = _apply_rows(eps, steps)
     for _ in range(iter_budget):
         if idx.size == 0:
             break
-        w = _apply_rows(v, cols)
+        w = _apply_rows(v, steps)
         low = (v < delta) & (w <= v)
         high = (v > 1.0 - delta) & (w >= v)
         done = low | high | (w == v)
@@ -290,7 +297,7 @@ def _classify_batch(eps: np.ndarray, cols: np.ndarray, iter_budget: int,
             res[idx[low]] = 0
             res[idx[high]] = 1
             keep = ~done
-            idx, v, cols = idx[keep], w[keep], cols[:, keep]
+            idx, v, steps = idx[keep], w[keep], steps[:, keep]
         else:
             v = w
     res[idx[v < delta]] = 0
@@ -307,38 +314,51 @@ def threshold_estimate_batch(prefixes: np.ndarray, iter_budget: int = 10_000,
 
     Each row takes 60 halvings of [0, 1]; a midpoint whose orbit is
     pinned at the threshold, or that equals an end of its bracket, is the
-    answer for its row.
+    answer for its row.  Rows are independent, so they run in blocks of
+    ``_ROW_BLOCK``, which bounds the memory of the per-bit constants.
     """
-    rows = np.asarray(prefixes, dtype=np.uint8)
-    if rows.ndim != 2 or rows.shape[1] == 0:
-        raise ValueError("prefixes must be a non-empty 2-d bit matrix")
+    rows = np.asarray(prefixes)
+    if (rows.ndim != 2 or rows.shape[1] == 0 or rows.dtype.kind not in "biu"
+            or ((rows != 0) & (rows != 1)).any()):
+        raise ValueError("prefixes must be a non-empty 2-d matrix of 0/1 "
+                         "integers or bools")
+    if iter_budget < 0:
+        raise ValueError(f"iter_budget must be >= 0, got {iter_budget}")
     if not 0.0 < delta < 0.5:
         raise ValueError(f"delta must lie in (0, 0.5), got {delta}")
-    cols = np.ascontiguousarray(rows.T != 0)
-    m = rows.shape[0]
-    lo = np.zeros(m)
-    hi = np.ones(m)
-    out = np.full(m, np.nan)
-    active = np.arange(m)
-    for _ in range(60):
-        mid = 0.5 * (lo[active] + hi[active])
-        # A midpoint equal to an end of its bracket stays the midpoint
-        # whichever side it falls on, so it is already the answer.
-        stuck = (mid == lo[active]) | (mid == hi[active])
-        out[active[stuck]] = mid[stuck]
-        active, mid = active[~stuck], mid[~stuck]
-        cls = _classify_batch(mid, cols[:, active], iter_budget, delta)
-        pinned = cls < 0
-        out[active[pinned]] = mid[pinned]
-        went_low = cls == 0
-        went_high = cls == 1
-        lo[active[went_low]] = mid[went_low]
-        hi[active[went_high]] = mid[went_high]
-        active = active[~pinned]
-        if active.size == 0:
-            break
-    out[active] = 0.5 * (lo[active] + hi[active])
-    return out
+    estimates = np.full(rows.shape[0], np.nan)
+    for first in range(0, rows.shape[0], _ROW_BLOCK):
+        # D[j] of ``_apply_rows``: s is negative after a 1 bit, as -(z * z).
+        cols = rows[first:first + _ROW_BLOCK].T != 0
+        steps = np.full(cols.shape, 2.0)
+        steps[1:][cols[:-1]] = -2.0
+        steps[cols] = 0.0
+        out = estimates[first:first + _ROW_BLOCK]
+        lo = np.zeros(out.size)
+        hi = np.ones(out.size)
+        active = np.arange(out.size)
+        live = steps
+        for _ in range(60):
+            mid = 0.5 * (lo[active] + hi[active])
+            # A midpoint equal to an end of its bracket stays the midpoint
+            # whichever side it falls on, so it is already the answer.
+            stuck = (mid == lo[active]) | (mid == hi[active])
+            out[active[stuck]] = mid[stuck]
+            active, mid = active[~stuck], mid[~stuck]
+            if live.shape[1] != active.size:  # rows only ever leave
+                live = steps[:, active]
+            cls = _classify_batch(mid, live, iter_budget, delta)
+            pinned = cls < 0
+            out[active[pinned]] = mid[pinned]
+            went_low = cls == 0
+            went_high = cls == 1
+            lo[active[went_low]] = mid[went_low]
+            hi[active[went_high]] = mid[went_high]
+            active = active[~pinned]
+            if active.size == 0:
+                break
+        out[active] = 0.5 * (lo[active] + hi[active])
+    return estimates
 
 
 def threshold_curve(m: int, depth: int, iter_budget: int,

@@ -71,7 +71,8 @@ class TestPlotFractal:
         assert rc == 3
 
     @pytest.mark.parametrize("argv", [["-m", "0"], ["-m", "-2"],
-                                      ["-m", "3", "--depth", "0"]])
+                                      ["-m", "3", "--depth", "0"],
+                                      ["-m", "3", "--iter-budget", "-5"]])
     def test_bad_grid_exits_usage(self, argv):
         rc, out = run(["plot-fractal", *argv])
         assert rc == 1 and out == ""
@@ -127,6 +128,16 @@ class TestMeasure:
         rc, _ = run(["measure", "--eps", "0.5", "--depths", "26",
                      "--trials", "1000"])
         assert rc == 1
+
+    @pytest.mark.parametrize("depths,rc,message", [
+        ("10,-1", 1, "error: depth must be >= 0, got -1"),
+        ("30,-1", 3, "resource limit: depth 30 needs Monte Carlo sampling"),
+        ("-1,30", 1, "error: depth must be >= 0, got -1"),
+        ("10,-1,-2", 1, "error: depth must be >= 0, got -1")])
+    def test_errors_in_depth_order(self, depths, rc, message, capsys):
+        got, out = run(["measure", "--eps", "0.5", f"--depths={depths}"])
+        assert (got, out) == (rc, "")
+        assert capsys.readouterr().err.startswith(message)
 
 
 class TestSelfsim:

@@ -12,6 +12,7 @@ from polarfractal import fractal
 from polarfractal.codes import heavy_membership
 from polarfractal.errors import ResourceLimitError
 from polarfractal.expansions import is_dyadic
+from polarfractal.polarization import bec_leaf_values
 
 
 class TestMeasureScan:
@@ -36,6 +37,17 @@ class TestMeasureScan:
         ests = fractal.measure_scan(0.5, [10, 16, 20], delta=1e-3)
         goods = [e.fraction_good for e in ests]
         assert goods == sorted(goods)
+
+    def test_exact_depths_match_leaf_values(self):
+        # One pass serves every depth, in the order asked, repeats too.
+        eps, delta, depths = 0.3, 1e-3, [12, 0, 3, 12, 18, 7]
+        for est, n in zip(fractal.measure_scan(eps, depths, delta), depths):
+            z = bec_leaf_values(eps, n)
+            good, bad = int((z <= delta).sum()), int((z >= 1.0 - delta).sum())
+            assert est.depth == n
+            assert (est.fraction_good, est.fraction_bad) == \
+                (good / z.size, bad / z.size)
+            assert est.fraction_unresolved == (z.size - good - bad) / z.size
 
     def test_deep_scan_requires_trials(self):
         with pytest.raises(ResourceLimitError):

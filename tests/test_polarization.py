@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from polarfractal import polarization
 from polarfractal.errors import ResourceLimitError
 from polarfractal.polarization import (_check_unit, apply_path,
-                                       apply_path_array, bec_leaf_chunks,
+                                       apply_path_array, bec_leaf_counts,
                                        bec_leaf_values, better_transform,
                                        worse_transform)
 
@@ -120,20 +121,37 @@ def test_leaf_mean_at_depth_twenty():
     assert abs(leaves.mean() - 0.5) <= 1e-12
 
 
-def test_chunks_agree_with_full_enumeration():
-    for eps, n in ((0.5, 10), (0.2, 13)):
-        full = bec_leaf_values(eps, n)
-        streamed = np.concatenate(list(bec_leaf_chunks(eps, n, chunk_depth=8)))
-        assert np.array_equal(full, streamed)
+@pytest.mark.parametrize("eps", [1e-3, 0.3, 0.5, 0.7, 0.999])
+@pytest.mark.parametrize("delta", [1e-3, 0.1])
+@pytest.mark.parametrize("subtree_depth", [8, 20])
+def test_leaf_counts_match_full_enumeration(eps, delta, subtree_depth,
+                                            monkeypatch):
+    # Every depth up to 16 in one pass, out of order and with a repeat;
+    # subtree depth 8 splits the deep levels into one sub-tree per node.
+    monkeypatch.setattr(polarization, "_SUBTREE_DEPTH", subtree_depth)
+    depths = [16, *range(16), 7]
+    got = bec_leaf_counts(eps, depths, delta)
+    want = []
+    for n in depths:
+        z = bec_leaf_values(eps, n)
+        want.append((int((z <= delta).sum()), int((z >= 1.0 - delta).sum())))
+    assert got == want
+
+
+def test_leaf_counts_domain():
+    assert bec_leaf_counts(0.5, [], 0.1) == []
+    assert bec_leaf_counts(0.5, [0, 0], 0.1) == [(0, 0), (0, 0)]
+    with pytest.raises(ValueError):
+        bec_leaf_counts(0.5, [3, -1], 0.1)
+    with pytest.raises(ValueError):
+        bec_leaf_counts(1.5, [3], 0.1)
+    with pytest.raises(ResourceLimitError):
+        bec_leaf_counts(0.5, [25], 0.1)
 
 
 def test_leaf_list_resource_limit():
     with pytest.raises(ResourceLimitError):
         bec_leaf_values(0.5, 25)
-    # The streaming fold still covers the same depth.
-    chunks = bec_leaf_chunks(0.5, 25, chunk_depth=4)
-    first = next(chunks)
-    assert first.size == 16
 
 
 def test_apply_path_array_matches_scalar():

@@ -394,10 +394,42 @@ class TestThresholdCurve:
             threshold_curve(17, 40, 600)
 
 
+def where_classify(eps, cols, iter_budget, delta):
+    """The classifier with the ``np.where`` prefix walk of earlier
+    releases, kept as a reference for the signed kernel; ``cols[j]`` is
+    the mask of rows whose bit j is 1."""
+    def apply_rows(v, cols):
+        out = v
+        for j, bit in enumerate(cols, 1):
+            out = out * np.where(bit, out, 2.0 - out)
+            if j >= 16 and j & (j - 1) == 0 and ((out == 0.0) | (out == 1.0)).all():
+                break
+        return out
+
+    res = np.full(eps.size, -1, dtype=np.int8)
+    idx = np.arange(eps.size)
+    v = apply_rows(eps, cols)
+    for _ in range(iter_budget):
+        if idx.size == 0:
+            break
+        w = apply_rows(v, cols)
+        low = (v < delta) & (w <= v)
+        high = (v > 1.0 - delta) & (w >= v)
+        done = low | high | (w == v)
+        res[idx[low]] = 0
+        res[idx[high]] = 1
+        keep = ~done
+        idx, v, cols = idx[keep], w[keep], cols[:, keep]
+    res[idx[v < delta]] = 0
+    res[idx[v > 1.0 - delta]] = 1
+    return res
+
+
 def unretired_estimate(prefixes, iter_budget, delta=1e-9):
-    """The batch estimator's bisection without retiring rows whose
-    midpoint equals an end of their bracket; returns the estimates and the
-    number of row classifications it made."""
+    """The batch estimator's bisection on ``where_classify``, in one block
+    and without retiring rows whose midpoint equals an end of their
+    bracket; returns the estimates and the number of row
+    classifications it made."""
     cols = np.ascontiguousarray(prefixes.T != 0)
     m = prefixes.shape[0]
     lo, hi = np.zeros(m), np.ones(m)
@@ -406,7 +438,7 @@ def unretired_estimate(prefixes, iter_budget, delta=1e-9):
     classified = 0
     for _ in range(60):
         mid = 0.5 * (lo[active] + hi[active])
-        cls = thresholds._classify_batch(mid, cols[:, active], iter_budget, delta)
+        cls = where_classify(mid, cols[:, active], iter_budget, delta)
         classified += mid.size
         pinned = cls < 0
         out[active[pinned]] = mid[pinned]
@@ -435,6 +467,42 @@ def test_retired_brackets_match_unretired_loop(m, monkeypatch):
     assert got.shape == (1 << m,)
     assert [g.hex() for g in got.tolist()] == [w.hex() for w in want.tolist()]
     assert sum(classified) < want_classified
+
+
+@pytest.mark.parametrize("width", [1, 2, 7, 57, 200])
+@pytest.mark.parametrize("budget", [0, 3, 600])
+def test_signed_kernel_matches_where_loop(width, budget, monkeypatch):
+    # 45 random rows in blocks of 16, so two block edges fall inside;
+    # one row is all 1s and one all 0s, which saturate at once.
+    rng = np.random.default_rng(1000 * width + budget)
+    prefixes = rng.integers(0, 2, size=(45, width), dtype=np.uint8)
+    prefixes[5], prefixes[30] = 1, 0
+    want, _ = unretired_estimate(prefixes, budget)
+    monkeypatch.setattr(thresholds, "_ROW_BLOCK", 16)
+    got = threshold_estimate_batch(prefixes, budget)
+    assert [g.hex() for g in got.tolist()] == [w.hex() for w in want.tolist()]
+    assert threshold_estimate_batch(prefixes[:0], budget).shape == (0,)
+
+
+class TestEstimatorInput:
+    @pytest.mark.parametrize("bad", [[[0.7, 1.3]], [[2, 1]], [[-1, 0]],
+                                      [[0.0, 1.0]], [["0", "1"]], [0, 1]])
+    def test_rejected(self, bad):
+        with pytest.raises(ValueError):
+            threshold_estimate_batch(np.array(bad), 10)
+
+    def test_bool_and_int_rows_accepted(self):
+        rows = plot_prefixes(3, 12)
+        want = threshold_estimate_batch(rows, 50)
+        for same in (rows.astype(bool), rows.astype(np.int64), rows.tolist()):
+            got = threshold_estimate_batch(same, 50)
+            assert [g.hex() for g in got.tolist()] == [w.hex() for w in want.tolist()]
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError):
+            threshold_estimate_batch(plot_prefixes(3, 12), -1)
+        with pytest.raises(ValueError):
+            threshold_curve(3, 12, -5)
 
 
 class TestClassification:
