@@ -27,6 +27,9 @@ EXIT_RESOURCE = 3
 
 _PLOT_DEFAULT_DEPTH = 40
 _SELFSIM_DEFAULT_QMAX = 300
+# selfsim caps: cell depth (as plot-fractal -m) and samples over all cells.
+_SELFSIM_MAX_N = 16
+_SELFSIM_MAX_CHECKS = 1 << 16
 
 
 class _UsageError(Exception):
@@ -217,7 +220,7 @@ def _cmd_measure(args, out) -> int:
                                      threads=args.threads)
     if args.json:
         _print(out, json.dumps([{
-            "depth": e.depth, "eps": e.eps, "delta": e.delta_good,
+            "depth": e.depth, "eps": e.eps, "delta": e.delta,
             "fraction_good": e.fraction_good, "fraction_bad": e.fraction_bad,
             "fraction_unresolved": e.fraction_unresolved} for e in estimates]))
     else:
@@ -256,7 +259,14 @@ def _random_cell_samples(rng: random.Random, n: int, k: int, count: int,
 def _cmd_selfsim(args, out) -> int:
     if args.set == "heavy" and args.rho is None:
         raise _UsageError("--rho is required for --set heavy")
-    cells = list(range(1, (1 << args.n) + 1)) if args.cell is None else [args.cell]
+    if args.samples < 1:
+        raise _UsageError(f"--samples must be >= 1, got {args.samples}")
+    if args.n > _SELFSIM_MAX_N:
+        raise ResourceLimitError(f"selfsim cell depth capped at {_SELFSIM_MAX_N}")
+    cells = range(1, (1 << args.n) + 1) if args.cell is None else [args.cell]
+    if len(cells) * args.samples > _SELFSIM_MAX_CHECKS:
+        raise ResourceLimitError(
+            f"selfsim checks capped at {_SELFSIM_MAX_CHECKS} (cells x --samples)")
     rng = random.Random(args.seed)
     checked = 0
     violations = []

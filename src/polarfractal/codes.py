@@ -1,11 +1,12 @@
 """Finite-blocklength index sets and generator rows.
 
-Rows of the n-fold Kronecker power of the 2x2 lower-triangular kernel are
-generated on demand from the block recursion, never by materializing the
-full matrix: a leading 0 bit copies the row into the left block, a
-leading 1 duplicates it.  Polar sets pick the smallest exact-BEC
-Bhattacharyya leaves, Reed-Muller sets pick rows by Hamming weight, and
-heavy-set membership runs the exact weight-drift walk on the expansion.
+Rows of the n-fold Kronecker power of the 2x2 lower-triangular kernel
+never come from the full matrix: ``kronecker_row`` builds one by the block
+recursion, ``generator_matrix`` fills an index set's rows by the bit-subset
+rule (entry (h, c) is 1 when the bits of c lie within those of h).  Polar
+sets pick the smallest exact-BEC Bhattacharyya leaves, Reed-Muller sets
+pick rows by Hamming weight, and heavy-set membership runs the exact
+weight-drift walk on the expansion.
 """
 
 from __future__ import annotations

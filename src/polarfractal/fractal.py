@@ -36,8 +36,7 @@ _MAX_EXHAUSTIVE_WALK = 25
 class MeasureEstimate:
     eps: float
     depth: int
-    delta_good: float
-    delta_bad: float
+    delta: float
     fraction_good: float
     fraction_bad: float
     fraction_unresolved: float
@@ -188,7 +187,7 @@ def measure_scan(eps: float, depths: Sequence[int], delta: float = 1e-3,
             good, bad = sampled[n]
             total = mc_trials
         out.append(MeasureEstimate(
-            eps=eps, depth=n, delta_good=delta, delta_bad=delta,
+            eps=eps, depth=n, delta=delta,
             fraction_good=good / total, fraction_bad=bad / total,
             fraction_unresolved=(total - good - bad) / total))
     return out
@@ -220,13 +219,13 @@ def cell_shift_pair(x: Fraction, n: int, k: int) -> tuple[Fraction, Fraction]:
     return (x + lo) / 2, (x + hi) / 2
 
 
-def selfsim_threshold_check(samples: Iterable[Fraction], n: int, k: int,
-                            tol: float = 1e-9) -> list[ThresholdOrderViolation]:
+def selfsim_threshold_check(samples: Iterable[Fraction], n: int,
+                            k: int) -> list[ThresholdOrderViolation]:
     """Check the threshold order behind the quasi self-similar inclusions.
 
     For each non-dyadic x in the cell, inserting a 0 after the cell bits
     must not raise the threshold and inserting a 1 must not lower it:
-    theta(left) <= theta(x) <= theta(right) within ``tol``.  Returns the
+    theta(left) <= theta(x) <= theta(right) within 1e-9.  Returns the
     violations (expected: none).
     """
     violations = []
@@ -239,7 +238,7 @@ def selfsim_threshold_check(samples: Iterable[Fraction], n: int, k: int,
         theta_left = threshold_of_rational(left).theta
         theta_right = threshold_of_rational(right).theta
         defect = max(theta_left - theta, theta - theta_right)
-        if defect > tol:
+        if defect > 1e-9:
             violations.append(ThresholdOrderViolation(
                 x=x, n=n, k=k, theta_left=theta_left, theta=theta,
                 theta_right=theta_right, defect=defect))
@@ -287,17 +286,14 @@ def entropy_count(n: int, rho: Fraction | float | str) -> float:
     if not 0 <= rho <= 1:
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
     j0 = max(0, math.ceil(rho * n))
-    js = np.arange(j0, n + 1, dtype=np.float64)
+    js = np.arange(j0, n, dtype=np.float64)
     # log2 C(n, j) accumulated from the first tail term (log-domain keeps
     # n up to 1e6 tractable).
     ln2 = math.log(2.0)
     log2_first = (math.lgamma(n + 1) - math.lgamma(j0 + 1)
                   - math.lgamma(n - j0 + 1)) / ln2
-    if js.size > 1:
-        steps = np.log2((n - js[:-1]) / (js[:-1] + 1.0))
-        log2_terms = log2_first + np.concatenate([[0.0], np.cumsum(steps)])
-    else:
-        log2_terms = np.array([log2_first])
+    steps = np.log2((n - js) / (js + 1.0))
+    log2_terms = log2_first + np.concatenate([[0.0], np.cumsum(steps)])
     peak = log2_terms.max()
     total = peak + math.log2(float(np.exp2(log2_terms - peak).sum()))
     return total / n
@@ -306,32 +302,20 @@ def entropy_count(n: int, rho: Fraction | float | str) -> float:
 def _exact_crossing_counts(horizon: int) -> dict[int, int]:
     """Exact distribution of zero crossings over all 2^horizon walks.
 
-    Dynamic program over (doubled walk value, sign state, crossings); a
-    zero value carries the previous sign and a crossing is counted at the
-    first value of opposite sign.
+    Dynamic program over (walk value + horizon, sign state, crossings),
+    one whole-array step per walk step; a zero value carries the previous
+    sign and a crossing is counted at the first value of opposite sign.
     """
-    rmax = horizon // 2 + 1
-    size = 2 * horizon + 1
-    state = np.zeros((size, 2, rmax + 1), dtype=np.int64)
+    state = np.zeros((2 * horizon + 1, 2, horizon // 2 + 2), dtype=np.int64)
     state[horizon + 1, 1, 0] = 1
     state[horizon - 1, 0, 0] = 1
     for _ in range(1, horizon):
         nxt = np.zeros_like(state)
-        for i in range(size):
-            cell = state[i]
-            if not cell.any():
-                continue
-            for step in (-1, 1):
-                j = i + step
-                if not 0 <= j < size:
-                    continue
-                t2 = j - horizon
-                if t2 == 0:
-                    nxt[j] += cell
-                else:
-                    sgn = 1 if t2 > 0 else 0
-                    nxt[j, sgn, :] += cell[sgn]
-                    nxt[j, sgn, 1:] += cell[1 - sgn, :-1]
+        nxt[1:] = state[:-1]
+        nxt[:-1] += state[1:]
+        for side, sgn in ((nxt[horizon + 1:], 1), (nxt[:horizon], 0)):
+            side[:, sgn, 1:] += side[:, 1 - sgn, :-1]
+            side[:, 1 - sgn] = 0
         state = nxt
     totals = state.sum(axis=(0, 1))
     return {r: int(c) for r, c in enumerate(totals) if c}

@@ -12,6 +12,7 @@ crossing it finds and flags multiplicity instead of assuming uniqueness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -23,9 +24,6 @@ import numpy as np
 from .errors import ResourceLimitError, TrivialPeriodError
 from .expansions import _as_bits, is_dyadic, real_to_expansion
 from .polarization import apply_path, apply_path_array
-
-DEFAULT_SCAN_RESOLUTION = 1 << 12
-MIN_SCAN_RESOLUTION = 1 << 10
 
 # Half-width of the band around theta where a BEC is not claimed either
 # way; matches the bisection tolerance.
@@ -39,6 +37,13 @@ _ROW_BLOCK = 1 << 12
 
 _STABILITY_PROBE = 1e-6
 _ROOT_MERGE_TOL = 1e-9
+
+# Interior points of the uniform 4096-step scan grid, shared read-only.
+_SCAN_GRID = np.linspace(0.0, 1.0, (1 << 12) + 1)[1:-1]
+_SCAN_GRID.setflags(write=False)
+
+# Prefix-estimator orbits are trapped below this or above 1 minus it.
+_TRAP_BAND = 1e-9
 
 
 class Stability(Enum):
@@ -131,25 +136,16 @@ def _bisect_root(bits: tuple[int, ...], lo: float, hi: float,
     return root
 
 
-@lru_cache(maxsize=8)
-def _scan_grid(scan_resolution: int) -> np.ndarray:
-    """Interior points of the uniform scan grid, shared read-only."""
-    grid = np.linspace(0.0, 1.0, scan_resolution + 1)[1:-1]
-    grid.setflags(write=False)
-    return grid
-
-
-def period_fixed_points(period: Sequence[int],
-                        scan_resolution: int = DEFAULT_SCAN_RESOLUTION
-                        ) -> FixedPointReport:
+def period_fixed_points(period: Sequence[int]) -> FixedPointReport:
     """Locate all fixed points of the period map on [0,1].
 
     Interior crossings of p(z) - z are bracketed by sign changes on a
     uniform grid and refined by bisection; the endpoints 0 and 1 are
     always attracting for non-trivial periods (vanishing derivatives).
     Stability of interior points is read off the sign of p(z) - z on
-    either side.  Near-tangential pairs closer than the grid step can be
-    missed; raise ``scan_resolution`` for suspicious periods.
+    either side.  Near-tangential pairs closer than the 1/4096 grid step
+    can be missed.  The edge brackets run down to 1e-300 and up to the
+    largest double below 1.
 
     Every evaluation of p stops once its values are exactly 0.0 or 1.0
     (see ``apply_path``), which is exact because both are fixed by every
@@ -163,10 +159,8 @@ def period_fixed_points(period: Sequence[int],
         raise TrivialPeriodError(
             f"period {period!r} has no interior fixed point; only the "
             "endpoints 0 and 1 remain")
-    if scan_resolution < MIN_SCAN_RESOLUTION:
-        raise ValueError(f"scan_resolution must be >= {MIN_SCAN_RESOLUTION}")
 
-    grid = _scan_grid(scan_resolution)
+    grid = _SCAN_GRID
     d = apply_path_array(grid, period) - grid
 
     roots: list[float] = grid[d == 0.0].tolist()
@@ -177,7 +171,8 @@ def period_fixed_points(period: Sequence[int],
     idx = np.flatnonzero(d[:-1] * d[1:] < 0)
     brackets += zip(grid[idx].tolist(), grid[idx + 1].tolist(), d[idx].tolist())
     if d[-1] < 0:
-        brackets.append((float(grid[-1]), 1.0 - 1e-12, float(d[-1])))
+        brackets.append((float(grid[-1]), math.nextafter(1.0, 0.0),
+                         float(d[-1])))
 
     for lo, hi, d_lo in brackets:
         roots.append(_bisect_root(period, lo, hi, d_lo))
@@ -223,14 +218,13 @@ def _solve_preamble(preamble: tuple[int, ...], zeta: float) -> float:
 
 
 @lru_cache(maxsize=_THRESHOLD_CACHE_SIZE)
-def _threshold_cached(x: Fraction, scan_resolution: int) -> ThresholdResult:
+def _threshold_cached(x: Fraction) -> ThresholdResult:
     if is_dyadic(x):
         return ThresholdResult(x, 1.0, Certainty.EXACT_BEC, False)
     spec = real_to_expansion(x)
-    report = period_fixed_points(spec.period, scan_resolution)
-    interior = report.interior
+    report = period_fixed_points(spec.period)
     multiplicity = not report.interior_unique
-    zeta = interior[-1].location if multiplicity else interior[0].location
+    zeta = report.interior[-1].location
     if spec.preamble:
         theta = _solve_preamble(spec.preamble, zeta)
     else:
@@ -238,9 +232,7 @@ def _threshold_cached(x: Fraction, scan_resolution: int) -> ThresholdResult:
     return ThresholdResult(x, theta, Certainty.EXACT_BEC, multiplicity)
 
 
-def threshold_of_rational(x: Fraction | int | str,
-                          scan_resolution: int = DEFAULT_SCAN_RESOLUTION
-                          ) -> ThresholdResult:
+def threshold_of_rational(x: Fraction | int | str) -> ThresholdResult:
     """Exact-BEC polarization threshold of a rational in [0,1].
 
     Dyadic rationals always have threshold 1 (their non-terminating
@@ -251,7 +243,7 @@ def threshold_of_rational(x: Fraction | int | str,
     x = Fraction(x)
     if not 0 <= x <= 1:
         raise ValueError(f"x must lie in [0, 1], got {x}")
-    return _threshold_cached(x, scan_resolution)
+    return _threshold_cached(x)
 
 
 def _apply_rows(v: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -272,11 +264,11 @@ def _apply_rows(v: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return np.abs(s, out=s)
 
 
-def _classify_batch(eps: np.ndarray, steps: np.ndarray, iter_budget: int,
-                    delta: float) -> np.ndarray:
+def _classify_batch(eps: np.ndarray, steps: np.ndarray,
+                    iter_budget: int) -> np.ndarray:
     """Side of the threshold of each row: 0 once its orbit under the
-    prefix map is trapped below ``delta``, 1 once above ``1 - delta``,
-    -1 (pinned at the threshold) otherwise.
+    prefix map is trapped below ``_TRAP_BAND``, 1 once above
+    ``1 - _TRAP_BAND``, -1 (pinned at the threshold) otherwise.
 
     The map is deterministic, so an orbit that repeats exactly (w == v)
     without being trapped stays where it is: such a row is retired as
@@ -290,8 +282,8 @@ def _classify_batch(eps: np.ndarray, steps: np.ndarray, iter_budget: int,
         if idx.size == 0:
             break
         w = _apply_rows(v, steps)
-        low = (v < delta) & (w <= v)
-        high = (v > 1.0 - delta) & (w >= v)
+        low = (v < _TRAP_BAND) & (w <= v)
+        high = (v > 1.0 - _TRAP_BAND) & (w >= v)
         done = low | high | (w == v)
         if done.any():
             res[idx[low]] = 0
@@ -300,13 +292,13 @@ def _classify_batch(eps: np.ndarray, steps: np.ndarray, iter_budget: int,
             idx, v, steps = idx[keep], w[keep], steps[:, keep]
         else:
             v = w
-    res[idx[v < delta]] = 0
-    res[idx[v > 1.0 - delta]] = 1
+    res[idx[v < _TRAP_BAND]] = 0
+    res[idx[v > 1.0 - _TRAP_BAND]] = 1
     return res
 
 
-def threshold_estimate_batch(prefixes: np.ndarray, iter_budget: int = 10_000,
-                             delta: float = 1e-9) -> np.ndarray:
+def threshold_estimate_batch(prefixes: np.ndarray,
+                             iter_budget: int = 10_000) -> np.ndarray:
     """Threshold estimates for the rows of a 0/1 matrix of prefixes,
     bisected in lockstep.  Each prefix is taken to repeat forever, which
     gives the threshold of the rational with that expansion period: a
@@ -324,8 +316,6 @@ def threshold_estimate_batch(prefixes: np.ndarray, iter_budget: int = 10_000,
                          "integers or bools")
     if iter_budget < 0:
         raise ValueError(f"iter_budget must be >= 0, got {iter_budget}")
-    if not 0.0 < delta < 0.5:
-        raise ValueError(f"delta must lie in (0, 0.5), got {delta}")
     estimates = np.full(rows.shape[0], np.nan)
     for first in range(0, rows.shape[0], _ROW_BLOCK):
         # D[j] of ``_apply_rows``: s is negative after a 1 bit, as -(z * z).
@@ -347,7 +337,7 @@ def threshold_estimate_batch(prefixes: np.ndarray, iter_budget: int = 10_000,
             active, mid = active[~stuck], mid[~stuck]
             if live.shape[1] != active.size:  # rows only ever leave
                 live = steps[:, active]
-            cls = _classify_batch(mid, live, iter_budget, delta)
+            cls = _classify_batch(mid, live, iter_budget)
             pinned = cls < 0
             out[active[pinned]] = mid[pinned]
             went_low = cls == 0

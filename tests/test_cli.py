@@ -120,6 +120,14 @@ class TestMeasure:
         assert lines[0] == "depth,fraction_good,fraction_bad,fraction_unresolved"
         assert len(lines) == 3
 
+    def test_json_keys(self):
+        rc, out = run(["measure", "--eps", "0.5", "--depths", "6",
+                       "--delta", "0.01", "--json"])
+        doc, = json.loads(out)
+        assert rc == 0 and doc["delta"] == 0.01
+        assert set(doc) == {"depth", "eps", "delta", "fraction_good",
+                            "fraction_bad", "fraction_unresolved"}
+
     def test_deep_depth_needs_trials(self):
         rc, _ = run(["measure", "--eps", "0.5", "--depths", "26"])
         assert rc == 3
@@ -175,6 +183,19 @@ class TestSelfsim:
         doc = json.loads(out)
         assert doc["violations"] == []
         assert doc["checked"] == 6
+
+    @pytest.mark.parametrize("argv,want", [
+        (["--n", "17", "--samples", "1"], 3),
+        (["--n", "20", "--cell", "1", "--samples", "1"], 3),
+        (["--n", "16", "--samples", "2"], 3),
+        (["--n", "10", "--samples", "65"], 3),
+        (["--n", "2", "--cell", "1", "--samples", "65537"], 3),
+        (["--n", "3", "--samples", "0"], 1),
+        (["--n", "3", "--samples", "-3"], 1),
+        (["--n", "20", "--samples", "-3"], 1)])
+    def test_bounds_exit_codes(self, argv, want):
+        rc, out = run(["selfsim", *argv, "--seed", "1"])
+        assert (rc, out) == (want, "")
 
 
 class TestHeavyCommand:

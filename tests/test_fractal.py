@@ -217,12 +217,42 @@ def brute_force_crossings(horizon):
     return counts
 
 
+def cellwise_crossing_counts(horizon):
+    """The crossing dynamic program stepped one walk value at a time."""
+    rmax = horizon // 2 + 1
+    size = 2 * horizon + 1
+    state = np.zeros((size, 2, rmax + 1), dtype=np.int64)
+    state[horizon + 1, 1, 0] = 1
+    state[horizon - 1, 0, 0] = 1
+    for _ in range(1, horizon):
+        nxt = np.zeros_like(state)
+        for i in range(size):
+            cell = state[i]
+            for j in (i - 1, i + 1):
+                if not 0 <= j < size:
+                    continue
+                if j == horizon:
+                    nxt[j] += cell
+                else:
+                    sgn = 1 if j > horizon else 0
+                    nxt[j, sgn, :] += cell[sgn]
+                    nxt[j, sgn, 1:] += cell[1 - sgn, :-1]
+        state = nxt
+    totals = state.sum(axis=(0, 1))
+    return {r: int(c) for r, c in enumerate(totals) if c}
+
+
 class TestWalkDistribution:
     @pytest.mark.parametrize("horizon", [1, 2, 3, 8, 13])
     def test_exhaustive_matches_brute_force(self, horizon):
         stats = fractal.walk_distribution(horizon)
         assert stats.counts_by_crossings == brute_force_crossings(horizon)
         assert stats.total == 1 << horizon
+
+    def test_exhaustive_matches_cellwise_program(self):
+        for horizon in range(1, 26):
+            assert (fractal._exact_crossing_counts(horizon)
+                    == cellwise_crossing_counts(horizon)), horizon
 
     def test_probabilities_exact(self):
         stats = fractal.walk_distribution(7)

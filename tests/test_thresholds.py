@@ -96,10 +96,6 @@ class TestPeriodFixedPoints:
         with pytest.raises(TrivialPeriodError):
             period_fixed_points(period)
 
-    def test_scan_resolution_floor(self):
-        with pytest.raises(ValueError):
-            period_fixed_points([1, 0], scan_resolution=512)
-
     @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.bool_])
     def test_numpy_period(self, dtype):
         period = (1, 1, 0, 1, 0)
@@ -133,7 +129,8 @@ def scalar_scan_report(period, resolution=4096):
     if d[-1] == 0.0:
         roots.append(float(grid[-1]))
     elif d[-1] < 0:
-        brackets.append((float(grid[-1]), 1.0 - 1e-12, float(d[-1])))
+        brackets.append((float(grid[-1]), math.nextafter(1.0, 0.0),
+                         float(d[-1])))
     roots += [_bisect_root(period, lo, hi, d_lo) for lo, hi, d_lo in brackets]
     merged = []
     for r in sorted(roots):
@@ -178,6 +175,17 @@ class TestThresholdOfRational:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             threshold_of_rational(Fraction(7, 5))
+
+    @pytest.mark.parametrize("k", range(20, 26))
+    def test_top_edge_root(self, k):
+        # x = 0.[1^k 0] has theta = 1 - 2^(-2k), above 1 - 1e-12: the top
+        # edge bracket must reach it, and 1 - x gives the complement.
+        q = (1 << (k + 1)) - 1
+        x = Fraction(q - 1, q)
+        theta = threshold_of_rational(x).theta
+        assert theta == 1.0 - 2.0 ** (-2 * k)
+        assert apply_path(theta, [1] * k + [0]) == theta
+        assert theta + threshold_of_rational(1 - x).theta == 1.0
 
 
 class TestSymmetry:
@@ -283,8 +291,6 @@ class TestThresholdEstimate:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             estimate([])
-        with pytest.raises(ValueError):
-            estimate([1, 0], delta=0.7)
 
 
 def full_budget_estimate(prefixes, iter_budget, delta=1e-9):
@@ -458,9 +464,9 @@ def test_retired_brackets_match_unretired_loop(m, monkeypatch):
     classified = []
     classify = thresholds._classify_batch
 
-    def counting(eps, cols, iter_budget, delta):
+    def counting(eps, cols, iter_budget):
         classified.append(eps.size)
-        return classify(eps, cols, iter_budget, delta)
+        return classify(eps, cols, iter_budget)
 
     monkeypatch.setattr(thresholds, "_classify_batch", counting)
     got = threshold_estimate_batch(plot_prefixes(m, depth), budget)
