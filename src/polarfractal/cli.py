@@ -207,7 +207,7 @@ def _cmd_construct(args, out) -> int:
     else:
         meta = ", ".join(f"{k} = {v}" for k, v in index_set.meta.items())
         _print(out, f"kind = {index_set.kind}, n = {index_set.n}, {meta}")
-        _print(out, "indices = " + " ".join(str(i) for i in index_set.indices))
+        _print(out, codes._decimal_list(index_set.array, "indices = ", " ", ""))
     return EXIT_OK
 
 
@@ -261,6 +261,8 @@ def _cmd_selfsim(args, out) -> int:
         raise _UsageError("--rho is required for --set heavy")
     if args.samples < 1:
         raise _UsageError(f"--samples must be >= 1, got {args.samples}")
+    if args.n < 0:
+        raise _UsageError(f"--n must be >= 0, got {args.n}")
     if args.n > _SELFSIM_MAX_N:
         raise ResourceLimitError(f"selfsim cell depth capped at {_SELFSIM_MAX_N}")
     cells = range(1, (1 << args.n) + 1) if args.cell is None else [args.cell]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -31,38 +31,48 @@ _MATRIX_BLOCK_CELLS = 1 << 18
 
 _MATRIX_MAGIC = b"KPCM"
 
+# 10^1 .. 10^18: where the digit count of a non-negative int64 steps up.
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False, eq=False)
 class IndexSet:
     """Sorted row indices of the depth-n Kronecker matrix plus metadata.
 
+    ``array`` holds the indices as a read-only, sorted int64 array;
+    ``indices`` gives them as a tuple of Python ints, built on each read.
     ``kind`` is one of "polar" (meta: eps, size), "reed-muller" (meta:
     order) or "heavy" (meta: rho as an exact fraction string).
     """
 
     n: int
-    indices: tuple[int, ...]
+    array: np.ndarray
     kind: str
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
-    def __post_init__(self) -> None:
-        raw = self.indices
+    def __init__(self, n: int, indices, kind: str,
+                 meta: dict | None = None) -> None:
+        raw = indices
         if not isinstance(raw, np.ndarray):
             raw = [int(i) for i in raw]
         try:
             idx = np.sort(np.asarray(raw, dtype=np.int64), axis=None)
         except OverflowError:
-            raise ValueError(f"indices out of range for depth {self.n} "
+            raise ValueError(f"indices out of range for depth {n} "
                              "or for int64") from None
         if not (idx[1:] > idx[:-1]).all():
             raise ValueError("indices must be distinct")
-        if idx.size and not (0 <= idx[0] and int(idx[-1]) < (1 << self.n)):
-            raise ValueError(f"indices out of range for depth {self.n}")
-        object.__setattr__(self, "indices", tuple(idx.tolist()))
+        if idx.size and not (0 <= idx[0] and int(idx[-1]) < (1 << n)):
+            raise ValueError(f"indices out of range for depth {n}")
+        idx.flags.writeable = False
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "array", idx)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "meta", {} if meta is None else meta)
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "n": self.n, **self.meta,
-                "indices": list(self.indices)}
+    @property
+    def indices(self) -> tuple[int, ...]:
+        return tuple(self.array.tolist())
 
 
 @dataclass(frozen=True)
@@ -72,13 +82,17 @@ class GeneratorMatrix:
     rows: np.ndarray  # (len(indices), 2**n) uint8
 
 
+def _check_depth(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"depth must be >= 0, got {n}")
+
+
 def kronecker_row(n: int, h: int) -> np.ndarray:
     """Row h of the n-fold Kronecker power, built by the block recursion.
 
     The row weight is 2**popcount(h).
     """
-    if n < 0:
-        raise ValueError(f"depth must be >= 0, got {n}")
+    _check_depth(n)
     if not 0 <= h < (1 << n):
         raise ValueError(f"row index {h} out of range for depth {n}")
     if n > _MAX_ROW_DEPTH:
@@ -103,15 +117,22 @@ def row_weight(n: int, h: int) -> int:
 def polar_index_set(eps: float, n: int, size: int) -> IndexSet:
     """Indices of the ``size`` smallest exact-BEC leaf values at depth n.
 
-    Ties are broken by ascending index, so the selection is stable.
+    Ties are broken by ascending index, so the selection is the first
+    ``size`` leaves of a stable argsort: every leaf below the size-th
+    smallest value, then the lowest-indexed leaves equal to it.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    _check_depth(n)
     if not 0 <= size <= (1 << n):
         raise ValueError(f"size must lie in [0, 2^{n}], got {size}")
     z = bec_leaf_values(eps, n)
-    order = np.argsort(z, kind="stable")
-    return IndexSet(n=n, indices=order[:size], kind="polar",
+    keep = np.zeros(z.size, dtype=bool)
+    if size:
+        kth = np.sort(z)[size - 1]
+        np.less(z, kth, out=keep)
+        keep[np.flatnonzero(z == kth)[:size - np.count_nonzero(keep)]] = True
+    return IndexSet(n=n, indices=np.flatnonzero(keep), kind="polar",
                     meta={"eps": eps, "size": size})
 
 
@@ -121,6 +142,7 @@ def rm_index_set(order: int, n: int) -> IndexSet:
     Equivalently indices h with popcount(h) >= n - order; the set size is
     the binomial tail sum.
     """
+    _check_depth(n)
     if not 0 <= order <= n:
         raise ValueError(f"order must lie in [0, {n}], got {order}")
     return _popcount_index_set(n, n - order, "reed-muller", {"order": order})
@@ -137,13 +159,12 @@ def _popcount_index_set(n: int, need: int, kind: str, meta: dict) -> IndexSet:
 def generator_matrix(index_set: IndexSet) -> GeneratorMatrix:
     """Submatrix of the Kronecker power given by the index set, rows in
     ascending index order."""
-    cells = len(index_set.indices) << index_set.n
-    if cells > _MAX_MATRIX_CELLS:
+    h = index_set.array
+    if h.size << index_set.n > _MAX_MATRIX_CELLS:
         raise ResourceLimitError(
-            f"{len(index_set.indices)} x 2^{index_set.n} matrix exceeds the budget")
+            f"{h.size} x 2^{index_set.n} matrix exceeds the budget")
     # Entry (h, c) is 1 exactly when the bits of c lie within those of h;
     # rows are filled in blocks to bound the int64 temporaries.
-    h = np.asarray(index_set.indices, dtype=np.int64)
     c = np.arange(1 << index_set.n)
     rows = np.empty((h.size, c.size), dtype=bool)
     step = max(1, _MATRIX_BLOCK_CELLS // c.size)
@@ -201,6 +222,7 @@ def heavy_index_set(rho: Fraction | int | str, n: int) -> IndexSet:
     """Depth-n finite shadow of the heavy set: rows with weight drift
     popcount(h) - rho*n >= 0, i.e. popcount(h) >= ceil(rho*n) (exact)."""
     rho = Fraction(rho)
+    _check_depth(n)
     return _popcount_index_set(n, math.ceil(rho * n), "heavy", {"rho": str(rho)})
 
 
@@ -236,5 +258,42 @@ def matrix_from_bytes(blob: bytes) -> GeneratorMatrix:
     return GeneratorMatrix(n=n, indices=(), rows=rows)
 
 
+def _decimal_list(values: np.ndarray, head: str, sep: str, tail: str) -> str:
+    """``head + sep.join(map(str, values)) + tail`` for a sorted array of
+    non-negative int64 values.
+
+    The values split into runs of equal digit count; each run fills
+    fixed-width rows of digits and separator in one byte buffer, one digit
+    column at a time, and the buffer is decoded once.
+    """
+    head, sep, tail = (t.encode("ascii") for t in (head, sep, tail))
+    cuts = [0, *np.searchsorted(values, _POW10).tolist(), values.size]
+    body = sum((b - a) * (d + len(sep))
+               for d, (a, b) in enumerate(zip(cuts, cuts[1:]), 1))
+    buf = np.empty(len(head) + body + len(tail), dtype=np.uint8)
+    buf[:len(head)] = np.frombuffer(head, dtype=np.uint8)
+    pos = len(head)
+    for d, (a, b) in enumerate(zip(cuts, cuts[1:]), 1):
+        if a == b:
+            continue
+        rows = buf[pos:pos + (b - a) * (d + len(sep))].reshape(b - a, -1)
+        pos += rows.size
+        rows[:, d:] = np.frombuffer(sep, dtype=np.uint8)
+        v = values[a:b]
+        for col in range(d - 1, 0, -1):
+            q = v // 10
+            rows[:, col] = v - 10 * q + ord("0")
+            v = q
+        rows[:, 0] = v + ord("0")
+    # The tail overwrites the separator after the last value.
+    end = pos - (len(sep) if values.size else 0)
+    buf[end:end + len(tail)] = np.frombuffer(tail, dtype=np.uint8)
+    return buf[:end + len(tail)].tobytes().decode("ascii")
+
+
 def index_set_to_json(index_set: IndexSet) -> str:
-    return json.dumps(index_set.to_json())
+    """One JSON object: kind, n, the meta keys, then the indices."""
+    head = json.dumps({"kind": index_set.kind, "n": index_set.n,
+                       **index_set.meta})
+    return _decimal_list(index_set.array, head[:-1] + ', "indices": [',
+                         ", ", "]}")

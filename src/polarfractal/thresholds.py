@@ -274,9 +274,14 @@ def _classify_batch(eps: np.ndarray, steps: np.ndarray,
     without being trapped stays where it is: such a row is retired as
     pinned at once instead of running out ``iter_budget``.  NaN never
     compares equal, so NaN rows still run the whole budget.
+
+    A finished row is parked at 0.0, a fixed point of the map, and masked
+    out; the running columns of ``steps`` are gathered again only once at
+    least half of the carried rows have finished.
     """
     res = np.full(eps.size, -1, dtype=np.int8)
     idx = np.arange(eps.size)
+    running = np.ones(eps.size, dtype=bool)
     v = _apply_rows(eps, steps)
     for _ in range(iter_budget):
         if idx.size == 0:
@@ -284,16 +289,18 @@ def _classify_batch(eps: np.ndarray, steps: np.ndarray,
         w = _apply_rows(v, steps)
         low = (v < _TRAP_BAND) & (w <= v)
         high = (v > 1.0 - _TRAP_BAND) & (w >= v)
-        done = low | high | (w == v)
+        done = (low | high | (w == v)) & running
         if done.any():
-            res[idx[low]] = 0
-            res[idx[high]] = 1
-            keep = ~done
-            idx, v, steps = idx[keep], w[keep], steps[:, keep]
-        else:
-            v = w
-    res[idx[v < _TRAP_BAND]] = 0
-    res[idx[v > 1.0 - _TRAP_BAND]] = 1
+            res[idx[low & done]] = 0
+            res[idx[high & done]] = 1
+            running &= ~done
+            w[done] = 0.0
+            if 2 * np.count_nonzero(running) <= idx.size:
+                steps = np.compress(running, steps, axis=1)
+                idx, w, running = idx[running], w[running], running[running]
+        v = w
+    res[idx[running & (v < _TRAP_BAND)]] = 0
+    res[idx[running & (v > 1.0 - _TRAP_BAND)]] = 1
     return res
 
 
@@ -336,7 +343,7 @@ def threshold_estimate_batch(prefixes: np.ndarray,
             out[active[stuck]] = mid[stuck]
             active, mid = active[~stuck], mid[~stuck]
             if live.shape[1] != active.size:  # rows only ever leave
-                live = steps[:, active]
+                live = np.take(steps, active, axis=1)
             cls = _classify_batch(mid, live, iter_budget)
             pinned = cls < 0
             out[active[pinned]] = mid[pinned]

@@ -111,6 +111,26 @@ class TestConstruct:
         gm = matrix_from_bytes(bin_file.read_bytes())
         assert np.array_equal(gm.rows, [[1, 1, 0, 0], [1, 0, 1, 0], [1, 1, 1, 1]])
 
+    def test_indices_line_matches_join(self):
+        for argv in (["polar", "--eps", "0.3", "--n", "10", "--k", "700"],
+                     ["polar", "--eps", "0.5", "--n", "4", "--k", "0"],
+                     ["rm", "--n", "11", "--r", "11"],
+                     ["rm", "--n", "0", "--r", "0"]):
+            rc, out = run(["construct", *argv])
+            rc_json, doc = run(["construct", *argv, "--json"])
+            assert rc == rc_json == 0
+            want = " ".join(map(str, json.loads(doc)["indices"]))
+            assert out.splitlines()[1] == "indices = " + want
+
+    @pytest.mark.parametrize("argv", [
+        ["construct", "polar", "--eps", "0.5", "--n", "-1", "--k", "1"],
+        ["construct", "polar", "--eps", "0.5", "--n", "-3", "--k", "0"],
+        ["construct", "rm", "--n", "-1", "--r", "0"]])
+    def test_negative_depth(self, argv, capsys):
+        assert run(argv) == (1, "")
+        n = argv[argv.index("--n") + 1]
+        assert capsys.readouterr().err == f"error: depth must be >= 0, got {n}\n"
+
 
 class TestMeasure:
     def test_table(self):
@@ -196,6 +216,13 @@ class TestSelfsim:
     def test_bounds_exit_codes(self, argv, want):
         rc, out = run(["selfsim", *argv, "--seed", "1"])
         assert (rc, out) == (want, "")
+
+    @pytest.mark.parametrize("argv", [["--n", "-1"], ["--n", "-1", "--cell", "1"],
+                                      ["--set", "heavy", "--rho", "1/2", "--n", "-2"]])
+    def test_negative_depth_is_usage_error(self, argv, capsys):
+        assert run(["selfsim", *argv, "--seed", "1"]) == (1, "")
+        n = argv[argv.index("--n") + 1]
+        assert capsys.readouterr().err == f"usage error: --n must be >= 0, got {n}\n"
 
 
 class TestHeavyCommand:

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polarfractal.codes import (IndexSet, generator_matrix, heavy_index_set,
-                                heavy_membership, index_set_to_json,
+from polarfractal.codes import (IndexSet, _decimal_list, generator_matrix,
+                                heavy_index_set, heavy_membership,
+                                index_set_to_json,
                                 kronecker_row, matrix_from_bytes,
                                 matrix_to_bytes, matrix_to_text,
                                 polar_index_set, rm_index_set, row_weight)
@@ -101,6 +102,34 @@ class TestPolarIndexSet:
             polar_index_set(0.0, 2, 1)
         with pytest.raises(ValueError):
             polar_index_set(0.5, 2, 5)
+        for size in (0, 1):
+            with pytest.raises(ValueError, match="depth must be >= 0, got -1"):
+                polar_index_set(0.5, -1, size)
+
+    def test_matches_stable_argsort(self):
+        # Reference: the first `size` leaves of a stable argsort.  The
+        # sizes include every edge of the 0.0 and 1.0 tie blocks and a cut
+        # through the middle of each.
+        inside = 0
+        for n in range(0, 17):
+            for eps in (0.3, 0.5, 0.7, 0.999):
+                z = bec_leaf_values(eps, n)
+                order = np.argsort(z, kind="stable")
+                zeros = int((z == 0.0).sum())
+                first_one = z.size - int((z == 1.0).sum())
+                sizes = {0, 1, z.size}
+                for edge in (zeros, first_one):
+                    sizes |= {edge - 1, edge, edge + 1}
+                sizes |= {zeros // 2, (first_one + z.size) // 2}
+                for size in sorted(k for k in sizes if 0 <= k <= z.size):
+                    got = polar_index_set(eps, n, size)
+                    assert got.indices == tuple(sorted(order[:size].tolist()))
+                    if size:
+                        # Cuts that take some, but not all, of a tie block.
+                        kth = np.sort(z)[size - 1]
+                        taken = size - int((z < kth).sum())
+                        inside += 1 < taken < int((z == kth).sum())
+        assert inside > 0
 
 
 class TestRMIndexSet:
@@ -132,6 +161,10 @@ class TestRMIndexSet:
     def test_validation(self):
         with pytest.raises(ValueError):
             rm_index_set(5, 4)
+        with pytest.raises(ValueError, match="depth must be >= 0, got -1"):
+            rm_index_set(0, -1)
+        with pytest.raises(ValueError, match="depth must be >= 0, got -2"):
+            heavy_index_set(Fraction(1, 2), -2)
 
 
 class TestGeneratorMatrix:
@@ -268,6 +301,20 @@ class TestIndexSetValidation:
         assert json.loads(index_set_to_json(s))["indices"] == [3, 9, 15]
         assert IndexSet(n=2, indices=(), kind="polar").indices == ()
 
+    def test_array_is_read_only_int64(self):
+        given = np.array([9, 3, 15])
+        s = IndexSet(n=4, indices=given, kind="polar")
+        assert s.array.dtype == np.int64 and s.array.tolist() == [3, 9, 15]
+        assert not s.array.flags.writeable
+        with pytest.raises(ValueError):
+            s.array[0] = 1
+        assert given.flags.writeable and given.tolist() == [9, 3, 15]
+        for built in (polar_index_set(0.5, 6, 20), rm_index_set(3, 6),
+                      heavy_index_set(Fraction(1, 3), 6)):
+            assert not built.array.flags.writeable
+            assert type(built.indices) is tuple
+            assert all(type(h) is int for h in built.indices)
+
 
 def per_cell_text(gm):
     return "\n".join("".join(str(int(b)) for b in row) for row in gm.rows) + "\n"
@@ -303,3 +350,49 @@ class TestExports:
         doc = json.loads(index_set_to_json(rm_index_set(1, 2)))
         assert doc == {"kind": "reed-muller", "n": 2, "order": 1,
                        "indices": [1, 2, 3]}
+
+
+def reference_json(index_set):
+    return json.dumps({"kind": index_set.kind, "n": index_set.n,
+                       **index_set.meta, "indices": list(index_set.indices)})
+
+
+class TestDecimalWriter:
+    def test_digit_boundaries(self):
+        # Every step in digit count up to 2^26 - 1, and on to int64's 19.
+        edges = {0, (1 << 26) - 1}
+        for d in range(1, 8):
+            edges |= {10 ** d - 2, 10 ** d - 1, 10 ** d, 10 ** d + 1}
+        values = sorted(h for h in edges if h < 1 << 26)
+        for k in range(len(values) + 1):
+            for chosen in (values[:k], values[k:], values[::k or 1]):
+                s = IndexSet(n=26, indices=chosen, kind="polar",
+                             meta={"eps": 0.25, "size": len(chosen)})
+                assert index_set_to_json(s) == reference_json(s)
+        wide = [0, 9, 10 ** 17, 10 ** 18 - 1, 10 ** 18, (1 << 63) - 1]
+        s = IndexSet(n=63, indices=wide, kind="heavy", meta={"rho": "1/3"})
+        assert index_set_to_json(s) == reference_json(s)
+        assert (_decimal_list(s.array, "indices = ", " ", "")
+                == "indices = " + " ".join(map(str, wide)))
+
+    def test_empty_single_and_full_sets(self):
+        sets = [IndexSet(n=0, indices=(), kind="polar"),
+                IndexSet(n=5, indices=(), kind="polar", meta={"eps": 0.5}),
+                IndexSet(n=0, indices=(0,), kind="polar"),
+                IndexSet(n=7, indices=(0,), kind="reed-muller"),
+                polar_index_set(0.5, 4, 0), polar_index_set(0.5, 0, 1)]
+        sets += [rm_index_set(n, n) for n in range(0, 15)]
+        sets += [polar_index_set(0.7, n, 1 << n) for n in (1, 10, 14)]
+        for s in sets:
+            assert index_set_to_json(s) == reference_json(s)
+            for sep in (" ", ", "):
+                assert (_decimal_list(s.array, "indices = ", sep, "")
+                        == "indices = " + sep.join(map(str, s.indices)))
+
+    def test_random_sets(self):
+        rng = np.random.default_rng(5)
+        for n in (3, 12, 20, 26):
+            for size in (1, 2, 17, 1000):
+                chosen = rng.choice(1 << n, size=min(size, 1 << n), replace=False)
+                s = IndexSet(n=n, indices=chosen, kind="polar")
+                assert index_set_to_json(s) == reference_json(s)
