@@ -1,28 +1,23 @@
 """Computable fractal structure of polar and Reed-Muller index sets."""
 
 from .codes import (GeneratorMatrix, IndexSet, generator_matrix,
-                    heavy_index_set, heavy_membership, kronecker_row,
-                    polar_index_set, rm_index_set, row_weight)
+                    heavy_membership, kronecker_row, polar_index_set,
+                    rm_index_set)
 from .errors import ResourceLimitError, TrivialPeriodError, UnresolvedError
-from .expansions import (ExpansionSpec, Variant, bits_of_index,
-                         complement_expansion, digit_density,
-                         expansion_to_real, hamming_weight, is_dyadic,
-                         is_simply_normal, parse_rational, real_to_expansion,
-                         row_index)
+from .expansions import (ExpansionSpec, Variant, expansion_to_real, is_dyadic,
+                         parse_rational, real_to_expansion)
 from .fractal import (HeavyImplicationViolation, MeasureEstimate,
                       ThresholdOrderViolation, WalkStats, binary_entropy,
-                      cell_bounds, cell_index, cell_shift_pair,
-                      crossing_cdf_bound, crossing_count_closed_form,
-                      entropy_count, feller_identity_table,
-                      heavy_selfsim_check, measure_scan,
-                      selfsim_threshold_check, walk_distribution,
-                      walk_min_nonnegative_fraction)
+                      cell_bounds, cell_shift_pair, crossing_cdf_bound,
+                      crossing_count_closed_form, entropy_count,
+                      feller_identity_table, heavy_selfsim_check,
+                      measure_scan, selfsim_threshold_check,
+                      walk_distribution, walk_min_nonnegative_fraction)
 from .polarization import (apply_path, apply_path_array, bec_leaf_counts,
-                           bec_leaf_values, better_transform, worse_transform)
-from .thresholds import (BecClass, Certainty, FixedPoint, FixedPointReport,
-                         Stability, ThresholdResult, classify_bec_channel,
-                         period_fixed_points, threshold_curve,
-                         threshold_estimate_batch, threshold_of_rational,
-                         verify_symmetry)
+                           bec_leaf_values)
+from .thresholds import (Certainty, FixedPoint, FixedPointReport, Stability,
+                         ThresholdResult, period_fixed_points,
+                         threshold_curve, threshold_estimate_batch,
+                         threshold_of_rational)
 
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ _PLOT_DEFAULT_DEPTH = 40
 _SELFSIM_DEFAULT_QMAX = 300
 # selfsim caps: cell depth (as plot-fractal -m) and samples over all cells.
 _SELFSIM_MAX_N = 16
-_SELFSIM_MAX_CHECKS = 1 << 16
+_SELFSIM_MAX_CHECKS = 1 << 12
 
 
 class _UsageError(Exception):

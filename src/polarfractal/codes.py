@@ -12,7 +12,6 @@ weight-drift walk on the expansion.
 from __future__ import annotations
 
 import json
-import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,8 +40,7 @@ class IndexSet:
 
     ``array`` holds the indices as a read-only, sorted int64 array;
     ``indices`` gives them as a tuple of Python ints, built on each read.
-    ``kind`` is one of "polar" (meta: eps, size), "reed-muller" (meta:
-    order) or "heavy" (meta: rho as an exact fraction string).
+    ``kind`` is "polar" (meta: eps, size) or "reed-muller" (meta: order).
     """
 
     n: int
@@ -78,8 +76,7 @@ class IndexSet:
 @dataclass(frozen=True)
 class GeneratorMatrix:
     n: int
-    indices: tuple[int, ...]
-    rows: np.ndarray  # (len(indices), 2**n) uint8
+    rows: np.ndarray  # (row count, 2**n) uint8
 
 
 def _check_depth(n: int) -> None:
@@ -105,13 +102,6 @@ def kronecker_row(n: int, h: int) -> np.ndarray:
         else:
             row = np.concatenate([row, np.zeros(row.size, dtype=np.uint8)])
     return row
-
-
-def row_weight(n: int, h: int) -> int:
-    """Hamming weight of row h without generating it: 2**popcount(h)."""
-    if not 0 <= h < (1 << n):
-        raise ValueError(f"row index {h} out of range for depth {n}")
-    return 1 << int(h).bit_count()
 
 
 def polar_index_set(eps: float, n: int, size: int) -> IndexSet:
@@ -145,20 +135,16 @@ def rm_index_set(order: int, n: int) -> IndexSet:
     _check_depth(n)
     if not 0 <= order <= n:
         raise ValueError(f"order must lie in [0, {n}], got {order}")
-    return _popcount_index_set(n, n - order, "reed-muller", {"order": order})
-
-
-def _popcount_index_set(n: int, need: int, kind: str, meta: dict) -> IndexSet:
-    """Rows h of depth n with popcount(h) >= need."""
     if n > _MAX_ROW_DEPTH:
         raise ResourceLimitError(f"enumerating 2^{n} indices exceeds the budget")
-    idx = np.flatnonzero(np.bitwise_count(np.arange(1 << n)) >= need)
-    return IndexSet(n=n, indices=idx, kind=kind, meta=meta)
+    idx = np.flatnonzero(np.bitwise_count(np.arange(1 << n)) >= n - order)
+    return IndexSet(n=n, indices=idx, kind="reed-muller", meta={"order": order})
 
 
 def generator_matrix(index_set: IndexSet) -> GeneratorMatrix:
     """Submatrix of the Kronecker power given by the index set, rows in
-    ascending index order."""
+    ascending index order.  Row h is the bit path b_1..b_n with
+    h = sum of b_l 2^(n-l), the leaf order of ``bec_leaf_values``."""
     h = index_set.array
     if h.size << index_set.n > _MAX_MATRIX_CELLS:
         raise ResourceLimitError(
@@ -170,8 +156,7 @@ def generator_matrix(index_set: IndexSet) -> GeneratorMatrix:
     step = max(1, _MATRIX_BLOCK_CELLS // c.size)
     for s in range(0, h.size, step):
         np.equal(c & ~h[s:s + step, None], 0, out=rows[s:s + step])
-    return GeneratorMatrix(n=index_set.n, indices=index_set.indices,
-                           rows=rows.view(np.uint8))
+    return GeneratorMatrix(n=index_set.n, rows=rows.view(np.uint8))
 
 
 def _expansion_is_heavy(spec: ExpansionSpec, rho: Fraction) -> bool:
@@ -218,14 +203,6 @@ def heavy_membership(x: Fraction | int | str, rho: Fraction | int | str) -> bool
     return any(_expansion_is_heavy(spec, rho) for spec in specs)
 
 
-def heavy_index_set(rho: Fraction | int | str, n: int) -> IndexSet:
-    """Depth-n finite shadow of the heavy set: rows with weight drift
-    popcount(h) - rho*n >= 0, i.e. popcount(h) >= ceil(rho*n) (exact)."""
-    rho = Fraction(rho)
-    _check_depth(n)
-    return _popcount_index_set(n, math.ceil(rho * n), "heavy", {"rho": str(rho)})
-
-
 def matrix_to_text(gm: GeneratorMatrix) -> str:
     """One '0'/'1' row per line; a matrix without rows gives one newline."""
     buf = np.empty((gm.rows.shape[0], gm.rows.shape[1] + 1), dtype=np.uint8)
@@ -237,14 +214,13 @@ def matrix_to_text(gm: GeneratorMatrix) -> str:
 def matrix_to_bytes(gm: GeneratorMatrix) -> bytes:
     """Binary export: magic "KPCM", u32 depth, u32 row count, then rows
     packed as little-endian bit blocks."""
-    header = _MATRIX_MAGIC + struct.pack("<II", gm.n, len(gm.indices))
+    header = _MATRIX_MAGIC + struct.pack("<II", gm.n, gm.rows.shape[0])
     packed = np.packbits(gm.rows, axis=-1, bitorder="little").tobytes()
     return header + packed
 
 
 def matrix_from_bytes(blob: bytes) -> GeneratorMatrix:
-    """Inverse of :func:`matrix_to_bytes` (indices are not stored and come
-    back empty)."""
+    """Inverse of :func:`matrix_to_bytes`."""
     if blob[:4] != _MATRIX_MAGIC:
         raise ValueError("bad magic; not a packed Kronecker matrix")
     n, count = struct.unpack("<II", blob[4:12])
@@ -255,7 +231,7 @@ def matrix_from_bytes(blob: bytes) -> GeneratorMatrix:
         raise ValueError("truncated matrix payload")
     rows = np.unpackbits(body.reshape(count, bytes_per_row), axis=-1,
                          bitorder="little")[:, :width]
-    return GeneratorMatrix(n=n, indices=(), rows=rows)
+    return GeneratorMatrix(n=n, rows=rows)
 
 
 def _decimal_list(values: np.ndarray, head: str, sep: str, tail: str) -> str:

@@ -2,9 +2,9 @@
 
 Every rational has an eventually periodic base-2 expansion; dyadic
 rationals have two (terminating and non-terminating).  Everything here is
-exact integer/fraction arithmetic: the membership predicates built on top
-(heavy sets, simple normality) are discrete and drift-intolerant, so no
-floating point is allowed in this module.
+exact integer/fraction arithmetic: the heavy-set membership built on top
+is discrete and drift-intolerant, so no floating point is allowed in this
+module.
 """
 
 from __future__ import annotations
@@ -94,12 +94,6 @@ class ExpansionSpec:
     def prefix(self, n: int) -> tuple[int, ...]:
         """First n digits of the expansion."""
         return tuple(self.bit_at(m) for m in range(1, n + 1))
-
-    def __str__(self) -> str:
-        head = "".join(str(b) for b in self.preamble)
-        if self.period:
-            return "0." + head + "[" + "".join(str(b) for b in self.period) + "]"
-        return "0." + head
 
 
 def parse_rational(text: str) -> Fraction:
@@ -198,51 +192,7 @@ def expansion_to_real(spec: ExpansionSpec) -> Fraction:
     return value
 
 
-def complement_expansion(spec: ExpansionSpec) -> ExpansionSpec:
-    """Flip every digit; represents 1 - x for the value x of ``spec``."""
-    preamble = tuple(1 - b for b in spec.preamble)
-    period = tuple(1 - b for b in spec.period) if spec.period else (1,)
-    return ExpansionSpec(preamble, period)
-
-
 def _bits_to_int(bits: Sequence[int]) -> int:
     if not bits:
         return 0
     return int(bytes(bits).translate(_BITS_TO_CHARS), 2)
-
-
-def row_index(bits: Sequence[int]) -> int:
-    """Kronecker row index of a bit path: h = sum of b_l 2^(n-l).
-
-    0-based; the first bit is the most significant, so prepending a zero
-    leaves the index unchanged and prepending a one adds 2^n.
-    """
-    return _bits_to_int(_as_bits(bits))
-
-
-def bits_of_index(h: int, n: int) -> tuple[int, ...]:
-    """Inverse of ``row_index`` at known depth n."""
-    if not 0 <= h < (1 << n):
-        raise ValueError(f"index {h} out of range for depth {n}")
-    return tuple((h >> (n - 1 - i)) & 1 for i in range(n))
-
-
-def hamming_weight(bits: Sequence[int]) -> int:
-    return sum(_as_bits(bits))
-
-
-def digit_density(spec: ExpansionSpec) -> Fraction:
-    """Asymptotic density of ones: weight(period) / len(period)."""
-    if not spec.period:
-        return Fraction(0)
-    return Fraction(sum(spec.period), len(spec.period))
-
-
-def is_simply_normal(spec: ExpansionSpec) -> bool:
-    """True iff the digit density of ones is exactly 1/2.
-
-    Eventually periodic expansions have density weight(period)/len(period);
-    terminating expansions have density 0.  Dyadic rationals are never
-    simply normal under either expansion.
-    """
-    return digit_density(spec) == Fraction(1, 2)

@@ -200,14 +200,6 @@ def cell_bounds(n: int, k: int) -> tuple[Fraction, Fraction]:
     return Fraction(k - 1, 1 << n), Fraction(k, 1 << n)
 
 
-def cell_index(x: Fraction, n: int) -> int:
-    """1-based index of the depth-n cell containing x."""
-    x = Fraction(x)
-    if not 0 <= x <= 1:
-        raise ValueError(f"x must lie in [0, 1], got {x}")
-    return min(int(x * (1 << n)) + 1, 1 << n)
-
-
 def cell_shift_pair(x: Fraction, n: int, k: int) -> tuple[Fraction, Fraction]:
     """Exact values whose expansions insert a 0 / a 1 after the first n
     bits of x: the affine halves (x + left endpoint)/2 and

@@ -1,9 +1,8 @@
-"""One-step polarization transforms and their compositions along bit paths.
-
-The worse/better transforms act on Bhattacharyya parameters z in [0,1].
-For a binary erasure channel both steps are exact (z is the erasure
-probability); for any other binary-input channel the worse step only gives
-an upper bound.
+"""One-step polarization maps on Bhattacharyya parameters z in [0,1],
+composed along bit paths: bit 0 is the worse step z -> 2z - z^2, bit 1
+the better step z -> z^2.  For a binary erasure channel both steps are
+exact (z is the erasure probability); for any other binary-input channel
+the worse step only gives an upper bound.
 """
 
 from __future__ import annotations
@@ -34,18 +33,6 @@ def _check_unit(z: float, name: str = "z") -> float:
     if not (-_DOMAIN_TOL <= z <= 1.0 + _DOMAIN_TOL) or z != z:
         raise ValueError(f"{name} must lie in [0, 1], got {z!r}")
     return min(max(z, 0.0), 1.0)
-
-
-def worse_transform(z: float) -> float:
-    """Map z to 2z - z^2 (bit 0, the degraded branch)."""
-    z = _check_unit(z)
-    return z * (2.0 - z)
-
-
-def better_transform(z: float) -> float:
-    """Map z to z^2 (bit 1, the upgraded branch)."""
-    z = _check_unit(z)
-    return z * z
 
 
 def apply_path(z: float, bits: Sequence[int]) -> float:

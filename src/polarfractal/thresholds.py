@@ -25,10 +25,6 @@ from .errors import ResourceLimitError, TrivialPeriodError
 from .expansions import _as_bits, is_dyadic, real_to_expansion
 from .polarization import apply_path, apply_path_array
 
-# Half-width of the band around theta where a BEC is not claimed either
-# way; matches the bisection tolerance.
-NON_POLARIZED_BAND = 1e-10
-
 # Entries kept by the threshold cache (least recently used evicted first).
 _THRESHOLD_CACHE_SIZE = 1 << 12
 
@@ -54,13 +50,6 @@ class Stability(Enum):
 
 class Certainty(Enum):
     EXACT_BEC = "exact-bec"
-
-
-class BecClass(Enum):
-    GOOD = "good"
-    BAD = "bad"
-    NON_POLARIZED = "non-polarized"
-    BOTH_GOOD_AND_BAD = "both-good-and-bad"
 
 
 @dataclass(frozen=True)
@@ -387,39 +376,3 @@ def threshold_curve(m: int, depth: int, iter_budget: int,
         rows.extend((k / (1 << m), 1.0) for k in range(1, 1 << m))
         rows.sort()
     return rows
-
-
-def verify_symmetry(x: Fraction | int | str) -> tuple[float, float, float]:
-    """Thresholds of x and 1-x plus the defect |theta(x)+theta(1-x)-1|.
-
-    The complement relation holds for non-dyadic x only, so dyadic input
-    is a domain error.
-    """
-    x = Fraction(x)
-    if is_dyadic(x):
-        raise ValueError("symmetry relation excludes dyadic rationals")
-    theta_x = threshold_of_rational(x).theta
-    theta_1mx = threshold_of_rational(1 - x).theta
-    return theta_x, theta_1mx, abs(theta_x + theta_1mx - 1.0)
-
-
-def classify_bec_channel(x: Fraction | int | str, eps: float) -> BecClass:
-    """Good/bad classification of the channel indexed by x on a BEC(eps).
-
-    Dyadic x is both good and bad (two expansions, one of each).  Within
-    ``NON_POLARIZED_BAND`` of the threshold no claim is made: the orbit
-    started exactly at the interior fixed point stays there forever.
-    """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    x = Fraction(x)
-    if not 0 <= x <= 1:
-        raise ValueError(f"x must lie in [0, 1], got {x}")
-    if is_dyadic(x):
-        return BecClass.BOTH_GOOD_AND_BAD
-    theta = threshold_of_rational(x).theta
-    if eps < theta - NON_POLARIZED_BAND:
-        return BecClass.GOOD
-    if eps > theta + NON_POLARIZED_BAND:
-        return BecClass.BAD
-    return BecClass.NON_POLARIZED

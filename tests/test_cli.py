@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -212,7 +213,8 @@ class TestSelfsim:
         (["--n", "2", "--cell", "1", "--samples", "65537"], 3),
         (["--n", "3", "--samples", "0"], 1),
         (["--n", "3", "--samples", "-3"], 1),
-        (["--n", "20", "--samples", "-3"], 1)])
+        (["--n", "20", "--samples", "-3"], 1),
+        (["--n", "0", "--samples", "4097"], 3)])
     def test_bounds_exit_codes(self, argv, want):
         rc, out = run(["selfsim", *argv, "--seed", "1"])
         assert (rc, out) == (want, "")
@@ -316,6 +318,49 @@ class TestContract:
             assert rc == 0
             outputs.add(out)
         assert len(outputs) == 1
+
+
+# sha256 of the stdout of deterministic commands (and of one binary matrix
+# file), pinned so that output stays byte-identical from one change to the
+# next.  `entropy` is left out: it goes through libm's lgamma and log2,
+# which may differ between platforms.
+GOLDEN_STDOUT = {
+    "threshold 6394/30375 --json":
+        "13a666bcb19b8be341c8a49e6175797b5f819db2f22909874e95663d9b18d5b7",
+    "construct polar --eps 0.3 --n 12 --k 1000 --json":
+        "4eea0914f927d6f296054bb336fbb50b8fca0f3d2a39197eacd381ed511b8ece",
+    "construct rm --n 12 --r 5":
+        "c46836f45416f822e4f15ca9c5259a533300e3a64d43ef7a2ae38a2f0c3d20b1",
+    "measure --eps 0.5 --depths 10,16,20":
+        "41f3c6e213de063d65080bb85636d10e578ee8d6c27f9584a98918e41a89343f",
+    "plot-fractal -m 8 --json":
+        "0b0615307f4a556d398fad9542e299271b6278e2cf2b55d5105b64bcf4008f66",
+    "walk --n 8 --exhaustive":
+        "b9d6ea7656249d3599d91389100c9ffb13e42ecd7381a15c07ff3c4af77d0ba6",
+    "selfsim --n 2 --samples 10 --seed 13":
+        "eb4511c5f5bad459cdc797df25e45dd5f9b12228bdf79133771bd9dbb6fef792",
+    "heavy 2/3 --rho 1/2":
+        "42e2d1d11c56ed83a2ce0c8f50a97e6c80607ed8e9061bf72fdd76937335566e",
+    "construct rm --n 8 --r 3 --matrix-format binary --matrix-out":
+        "6eb76576aa413d39799cffacda761b934a556a28313ce99784acbbf9a51533b5",
+}
+GOLDEN_MATRIX_FILE = \
+    "5026599aad8c115d3922b9ba4e57d6336100df91f8be1ce66b6b5f7b1d87a0c2"
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_golden_outputs(tmp_path):
+    matrix = tmp_path / "g.kpcm"
+    for command, digest in GOLDEN_STDOUT.items():
+        argv = command.split()
+        if argv[-1] == "--matrix-out":
+            argv.append(str(matrix))
+        rc, out = run(argv)
+        assert (rc, sha256(out.encode())) == (0, digest), command
+    assert sha256(matrix.read_bytes()) == GOLDEN_MATRIX_FILE
 
 
 SRC_DIR = os.path.dirname(os.path.dirname(polarfractal.__file__))

@@ -9,11 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polarfractal.codes import (IndexSet, _decimal_list, generator_matrix,
-                                heavy_index_set, heavy_membership,
-                                index_set_to_json,
+                                heavy_membership, index_set_to_json,
                                 kronecker_row, matrix_from_bytes,
                                 matrix_to_bytes, matrix_to_text,
-                                polar_index_set, rm_index_set, row_weight)
+                                polar_index_set, rm_index_set)
 from polarfractal.errors import ResourceLimitError
 from polarfractal.polarization import bec_leaf_values
 
@@ -44,9 +43,12 @@ class TestKroneckerRow:
                 assert int(kronecker_row(n, h).sum()) == 1 << bin(h).count("1")
 
     def test_row_weight_shortcut(self):
+        # Every row h of the full matrix weighs 2**popcount(h).
         for n in (3, 7, 10):
-            for h in (0, 1, (1 << n) - 1):
-                assert row_weight(n, h) == int(kronecker_row(n, h).sum())
+            index_set = rm_index_set(n, n)
+            rows = generator_matrix(index_set).rows
+            h = index_set.array
+            assert np.array_equal(rows.sum(axis=1), 1 << np.bitwise_count(h).astype(np.int64))
 
     def test_range_errors(self):
         with pytest.raises(ValueError):
@@ -163,8 +165,6 @@ class TestRMIndexSet:
             rm_index_set(5, 4)
         with pytest.raises(ValueError, match="depth must be >= 0, got -1"):
             rm_index_set(0, -1)
-        with pytest.raises(ValueError, match="depth must be >= 0, got -2"):
-            heavy_index_set(Fraction(1, 2), -2)
 
 
 class TestGeneratorMatrix:
@@ -193,13 +193,15 @@ class TestGeneratorMatrix:
 
     def test_rows_match_kronecker_row(self):
         for n in range(0, 9):
-            gm = generator_matrix(rm_index_set(n, n))
+            index_set = rm_index_set(n, n)
+            gm = generator_matrix(index_set)
             assert gm.rows.dtype == np.uint8
-            for h, row in zip(gm.indices, gm.rows):
+            for h, row in zip(index_set.array.tolist(), gm.rows):
                 assert np.array_equal(row, kronecker_row(n, h)), (n, h)
         # Depth 13 fills its 378 rows in blocks of 32.
-        gm = generator_matrix(rm_index_set(3, 13))
-        for h, row in zip(gm.indices, gm.rows):
+        index_set = rm_index_set(3, 13)
+        gm = generator_matrix(index_set)
+        for h, row in zip(index_set.array.tolist(), gm.rows):
             assert np.array_equal(row, kronecker_row(13, h)), h
 
 
@@ -247,7 +249,10 @@ class TestHeavyMembership:
 
 
 def test_heavy_index_set_counts():
-    s = heavy_index_set(Fraction(1, 2), 6)
+    # The depth-n shadow of the heavy set for rho, the rows with
+    # popcount(h) >= ceil(rho*n), is the RM set of order n - ceil(rho*n).
+    n, rho = 6, Fraction(1, 2)
+    s = rm_index_set(n - math.ceil(rho * n), n)
     want = [h for h in range(64) if bin(h).count("1") >= 3]
     assert list(s.indices) == want
 
@@ -256,18 +261,8 @@ def test_popcount_builders_match_brute_force():
     for n in range(0, 13):
         for r in range(0, n + 1):
             want = tuple(h for h in range(1 << n) if h.bit_count() >= n - r)
-            assert rm_index_set(r, n).indices == want
-        # rho*n lands on every integer and just either side of it.
-        rhos = {Fraction(k, n) for k in range(n + 1)} if n else {Fraction(0)}
-        rhos |= {rho + d for rho in rhos for d in (Fraction(-1, 97 * n + 97),
-                                                    Fraction(1, 97 * n + 97))}
-        rhos |= {Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1)}
-        for rho in sorted(rhos):
-            # popcount(h) - rho*n >= 0, cleared of the denominator.
-            want = tuple(h for h in range(1 << n) if h.bit_count()
-                         * rho.denominator - rho.numerator * n >= 0)
-            got = heavy_index_set(rho, n)
-            assert got.indices == want, (n, rho)
+            got = rm_index_set(r, n)
+            assert got.indices == want, (n, r)
             assert all(type(h) is int for h in got.indices)
 
 
@@ -309,8 +304,7 @@ class TestIndexSetValidation:
         with pytest.raises(ValueError):
             s.array[0] = 1
         assert given.flags.writeable and given.tolist() == [9, 3, 15]
-        for built in (polar_index_set(0.5, 6, 20), rm_index_set(3, 6),
-                      heavy_index_set(Fraction(1, 3), 6)):
+        for built in (polar_index_set(0.5, 6, 20), rm_index_set(3, 6)):
             assert not built.array.flags.writeable
             assert type(built.indices) is tuple
             assert all(type(h) is int for h in built.indices)
@@ -338,6 +332,8 @@ class TestExports:
         back = matrix_from_bytes(matrix_to_bytes(gm))
         assert back.n == 4
         assert np.array_equal(back.rows, gm.rows)
+        empty = generator_matrix(polar_index_set(0.5, 3, 0))
+        assert matrix_from_bytes(matrix_to_bytes(empty)).rows.shape == (0, 8)
 
     def test_binary_header(self):
         gm = generator_matrix(rm_index_set(1, 3))

@@ -6,12 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polarfractal.expansions import (ExpansionSpec, Variant, bits_of_index,
-                                     complement_expansion, digit_density,
-                                     expansion_to_real, hamming_weight,
-                                     is_dyadic, is_simply_normal,
-                                     parse_rational, real_to_expansion,
-                                     row_index)
+from polarfractal.expansions import (ExpansionSpec, Variant, _bits_to_int,
+                                     _int_to_bits, expansion_to_real,
+                                     is_dyadic, parse_rational,
+                                     real_to_expansion)
 
 rationals = st.builds(
     lambda p, q: Fraction(p % (q + 1), q),
@@ -87,10 +85,17 @@ def test_round_trip_property(x):
     assert expansion_to_real(real_to_expansion(x)) == x
 
 
+def flip(bits):
+    return tuple(1 - b for b in bits)
+
+
 @given(rationals)
 def test_complement_is_one_minus_x(x):
+    # Flipping every digit, the all-zero tail of a terminating form
+    # included, represents 1 - x.
     spec = real_to_expansion(x)
-    assert expansion_to_real(complement_expansion(spec)) == 1 - x
+    flipped = ExpansionSpec(flip(spec.preamble), flip(spec.period) or (1,))
+    assert expansion_to_real(flipped) == 1 - x
 
 
 def test_dyadic_forms_complement_each_other():
@@ -98,7 +103,7 @@ def test_dyadic_forms_complement_each_other():
     # the complement.
     x = Fraction(3, 8)
     term = real_to_expansion(x, Variant.TERMINATING)
-    assert complement_expansion(term) == real_to_expansion(
+    assert ExpansionSpec(flip(term.preamble), (1,)) == real_to_expansion(
         1 - x, Variant.NON_TERMINATING)
 
 
@@ -126,27 +131,24 @@ def test_period_divides_order_of_two():
 
 
 class TestRowIndex:
+    """A bit path read as a binary number, first bit most significant, is
+    its Kronecker row index h = sum of b_l 2^(n-l)."""
+
     def test_examples(self):
-        assert row_index([1, 1]) == 3
-        assert row_index([]) == 0
+        assert _bits_to_int([1, 1]) == 3
+        assert _bits_to_int([]) == 0
 
     @given(st.lists(st.integers(min_value=0, max_value=1), max_size=20))
     def test_prepend_zero_keeps_index(self, bits):
-        assert row_index([0] + bits) == row_index(bits)
+        assert _bits_to_int([0] + bits) == _bits_to_int(bits)
 
     @given(st.lists(st.integers(min_value=0, max_value=1), max_size=20))
     def test_prepend_one_adds_msb(self, bits):
-        assert row_index([1] + bits) == row_index(bits) + (1 << len(bits))
+        assert _bits_to_int([1] + bits) == _bits_to_int(bits) + (1 << len(bits))
 
     @given(st.integers(min_value=0, max_value=2**16 - 1))
     def test_bits_round_trip(self, h):
-        assert row_index(bits_of_index(h, 16)) == h
-
-
-def test_hamming_weight():
-    assert hamming_weight([]) == 0
-    assert hamming_weight([1, 0, 1]) == 2
-    assert hamming_weight([1] * 9) == 9
+        assert _bits_to_int(_int_to_bits(h, 16)) == h
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.bool_])
@@ -154,13 +156,17 @@ class TestNumpyBits:
     """A numpy bit array counts as its ``tolist()``, not as its raw buffer."""
 
     def test_row_index(self, dtype):
-        assert row_index(np.array([1, 1], dtype=dtype)) == 3
+        # A terminating preamble of n bits is worth its row index over 2^n.
         bits = [1, 0, 1, 1, 0, 0, 1, 0, 1]
-        assert row_index(np.array(bits, dtype=dtype)) == row_index(bits)
+        spec = ExpansionSpec(np.array(bits, dtype=dtype), ())
+        assert spec.preamble == tuple(bits)
+        assert expansion_to_real(spec) == Fraction(_bits_to_int(bits), 1 << 9)
 
     def test_hamming_weight(self, dtype):
-        assert hamming_weight(np.array([1, 0, 1, 1], dtype=dtype)) == 3
-        assert hamming_weight(np.array([], dtype=dtype)) == 0
+        spec = ExpansionSpec((), np.array([1, 0, 1, 1], dtype=dtype))
+        assert sum(spec.period) == 3
+        empty = np.array([], dtype=dtype)
+        assert ExpansionSpec(empty, empty) == ExpansionSpec((), ())
 
     def test_expansion_spec(self, dtype):
         assert ExpansionSpec((), np.array([1, 1], dtype=dtype)) == \
@@ -177,28 +183,9 @@ class TestNumpyBits:
                                  np.array([0, 2])])
 def test_bit_validation_rejects(bad):
     with pytest.raises(ValueError):
-        row_index(bad)
-    with pytest.raises(ValueError):
-        hamming_weight(bad)
+        ExpansionSpec(bad, ())
     with pytest.raises(ValueError):
         ExpansionSpec((), bad)
-
-
-class TestSimpleNormality:
-    def test_one_third_simply_normal(self):
-        assert is_simply_normal(real_to_expansion(Fraction(1, 3)))
-
-    def test_one_seventh_not(self):
-        assert not is_simply_normal(real_to_expansion(Fraction(1, 7)))
-
-    def test_dyadics_never(self):
-        for x in (Fraction(1, 2), Fraction(3, 4), Fraction(5, 8)):
-            for variant in Variant:
-                assert not is_simply_normal(real_to_expansion(x, variant))
-
-    def test_density_values(self):
-        assert digit_density(real_to_expansion(Fraction(1, 7))) == Fraction(1, 3)
-        assert digit_density(ExpansionSpec((1, 1), ())) == 0
 
 
 class TestParsing:
@@ -211,10 +198,3 @@ class TestParsing:
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_rational(bad)
-
-
-def test_str_format():
-    assert str(real_to_expansion(Fraction(1, 3))) == "0.[01]"
-    assert str(real_to_expansion(Fraction(1, 2))) == "0.1"
-    assert str(real_to_expansion(Fraction(1, 2), Variant.NON_TERMINATING)) == "0.0[1]"
-    assert str(real_to_expansion(Fraction(1, 6))) == "0.0[01]"

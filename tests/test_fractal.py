@@ -88,19 +88,21 @@ class TestCellGeometry:
         assert fractal.cell_bounds(2, 4) == (Fraction(3, 4), 1)
 
     def test_index(self):
-        assert fractal.cell_index(Fraction(1, 3), 1) == 1
-        assert fractal.cell_index(Fraction(2, 3), 1) == 2
-        assert fractal.cell_index(Fraction(1), 3) == 8
+        # cell_shift_pair accepts x only in the closed cell k that holds it.
+        fractal.cell_shift_pair(Fraction(1, 3), 1, 1)
+        fractal.cell_shift_pair(Fraction(2, 3), 1, 2)
+        fractal.cell_shift_pair(Fraction(1), 3, 8)
+        with pytest.raises(ValueError):
+            fractal.cell_shift_pair(Fraction(2, 3), 1, 1)
 
     @given(st.integers(min_value=1, max_value=6),
-           st.integers(min_value=1, max_value=999),
-           st.integers(min_value=2, max_value=1000))
-    def test_affine_identity(self, n, p, q):
-        x = Fraction(p % q, q)
-        k = fractal.cell_index(x, n)
+           st.integers(min_value=1, max_value=64),
+           st.integers(min_value=0, max_value=999),
+           st.integers(min_value=1, max_value=1000))
+    def test_affine_identity(self, n, k, p, q):
+        k = 1 + (k - 1) % (1 << n)
         lo, hi = fractal.cell_bounds(n, k)
-        if not lo <= x <= hi:
-            return
+        x = lo + (hi - lo) * Fraction(p % (q + 1), q)
         left, right = fractal.cell_shift_pair(x, n, k)
         # The 1-insertion satisfies 2 f(b 1 a) - k 2^-n = f(b a) exactly,
         # and the 0-insertion mirrors it at the left endpoint.

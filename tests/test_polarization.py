@@ -11,41 +11,49 @@ from polarfractal import polarization
 from polarfractal.errors import ResourceLimitError
 from polarfractal.polarization import (_check_unit, apply_path,
                                        apply_path_array, bec_leaf_counts,
-                                       bec_leaf_values, better_transform,
-                                       worse_transform)
+                                       bec_leaf_values)
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 bit_lists = st.lists(st.integers(min_value=0, max_value=1), max_size=12)
 
 
+# The one-step maps: bit 0 is the worse step 2z - z^2, bit 1 the better z^2.
+def worse(z):
+    return apply_path(z, (0,))
+
+
+def better(z):
+    return apply_path(z, (1,))
+
+
 def test_transform_fixed_points():
-    assert worse_transform(0.0) == 0.0
-    assert worse_transform(1.0) == 1.0
-    assert better_transform(0.0) == 0.0
-    assert better_transform(1.0) == 1.0
+    assert worse(0.0) == 0.0
+    assert worse(1.0) == 1.0
+    assert better(0.0) == 0.0
+    assert better(1.0) == 1.0
 
 
 def test_transform_midpoint_values():
-    assert worse_transform(0.5) == 0.75
-    assert better_transform(0.5) == 0.25
+    assert worse(0.5) == 0.75
+    assert better(0.5) == 0.25
 
 
 @pytest.mark.parametrize("z", [-0.1, 1.1, 2.0, -1e-9])
 def test_transform_domain_error(z):
     with pytest.raises(ValueError):
-        worse_transform(z)
+        worse(z)
     with pytest.raises(ValueError):
-        better_transform(z)
+        better(z)
 
 
 def test_domain_tolerance_clamps_roundoff():
-    assert worse_transform(1.0 + 1e-13) == 1.0
-    assert better_transform(-1e-13) == 0.0
+    assert worse(1.0 + 1e-13) == 1.0
+    assert better(-1e-13) == 0.0
 
 
 @given(unit_floats)
 def test_worse_dominates_better(z):
-    assert better_transform(z) <= z <= worse_transform(z)
+    assert better(z) <= z <= worse(z)
 
 
 def test_strict_ordering_on_open_interval():
@@ -57,7 +65,7 @@ def test_strict_ordering_on_open_interval():
 def test_duality_identity():
     # g0(1 - z) = 1 - g1(z) on a dense grid.
     grid = np.linspace(0.0, 1.0, 4001)
-    lhs = np.array([worse_transform(1.0 - z) for z in grid])
+    lhs = np.array([worse(1.0 - z) for z in grid])
     rhs = 1.0 - grid * grid
     assert np.abs(lhs - rhs).max() <= 1e-15
 

@@ -6,17 +6,17 @@ import numpy as np
 import pytest
 
 from polarfractal import thresholds
+from polarfractal.codes import polar_index_set
 from polarfractal.errors import ResourceLimitError, TrivialPeriodError
-from polarfractal.expansions import is_dyadic, real_to_expansion
+from polarfractal.expansions import Variant, is_dyadic, real_to_expansion
 from polarfractal.polarization import apply_path
-from polarfractal.thresholds import (BecClass, Certainty, FixedPoint,
-                                     FixedPointReport, Stability,
-                                     _bisect_root, _classify_stability,
+from polarfractal.thresholds import (Certainty, FixedPoint, FixedPointReport,
+                                     Stability, _bisect_root,
+                                     _classify_stability,
                                      _path_value_and_derivative,
-                                     classify_bec_channel,
                                      period_fixed_points, threshold_curve,
                                      threshold_estimate_batch,
-                                     threshold_of_rational, verify_symmetry)
+                                     threshold_of_rational)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -188,16 +188,21 @@ class TestThresholdOfRational:
         assert theta + threshold_of_rational(1 - x).theta == 1.0
 
 
+def symmetry_defect(x):
+    """|theta(x) + theta(1 - x) - 1|, zero for every non-dyadic x."""
+    return abs(threshold_of_rational(x).theta
+               + threshold_of_rational(1 - x).theta - 1.0)
+
+
 class TestSymmetry:
     @pytest.mark.parametrize("x", [Fraction(1, 3), Fraction(1, 5),
                                    Fraction(2, 5), Fraction(3, 7)])
     def test_defect_small(self, x):
-        _, _, defect = verify_symmetry(x)
-        assert defect <= 1e-9
+        assert symmetry_defect(x) <= 1e-9
 
     def test_dyadic_rejected(self):
-        with pytest.raises(ValueError):
-            verify_symmetry(Fraction(1, 4))
+        # The relation excludes dyadic x: x and 1 - x both have theta = 1.
+        assert symmetry_defect(Fraction(1, 4)) == 1.0
 
     def test_random_corpus(self):
         rng = random.Random(31337)
@@ -208,8 +213,7 @@ class TestSymmetry:
             x = Fraction(p, q)
             if is_dyadic(x):
                 continue
-            _, _, defect = verify_symmetry(x)
-            assert defect <= 1e-9, x
+            assert symmetry_defect(x) <= 1e-9, x
             checked += 1
 
 
@@ -511,26 +515,43 @@ class TestEstimatorInput:
             threshold_curve(3, 12, -5)
 
 
+def polarized(x, eps, variant=Variant.TERMINATING):
+    """Where BEC(eps) ends along the first 2000 digits of x: "good" near
+    0, "bad" near 1, None in between."""
+    z = apply_path(eps, real_to_expansion(x, variant).prefix(2000))
+    return "good" if z < 1e-9 else "bad" if z > 1.0 - 1e-9 else None
+
+
 class TestClassification:
+    """The channel indexed by x on BEC(eps) polarizes to good below
+    theta(x) and to bad above it."""
+
     def test_good(self):
-        assert classify_bec_channel(Fraction(2, 3), 0.5) is BecClass.GOOD
+        assert polarized(Fraction(2, 3), 0.5) == "good"
 
     def test_bad(self):
-        assert classify_bec_channel(Fraction(1, 3), 0.5) is BecClass.BAD
+        assert polarized(Fraction(1, 3), 0.5) == "bad"
 
     def test_non_polarized_at_fixed_point(self):
+        # theta is fixed by one period; 1e-6 to either side it polarizes.
         theta = threshold_of_rational(Fraction(2, 3)).theta
-        assert classify_bec_channel(Fraction(2, 3), theta) is BecClass.NON_POLARIZED
+        assert abs(apply_path(theta, (1, 0)) - theta) <= 1e-15
+        assert polarized(Fraction(2, 3), theta - 1e-6) == "good"
+        assert polarized(Fraction(2, 3), theta + 1e-6) == "bad"
 
     def test_dyadic_is_both(self):
+        # theta = 1, yet the two expansions of 1/2 polarize opposite ways.
+        assert threshold_of_rational(Fraction(1, 2)).theta == 1.0
         for eps in (0.1, 0.5, 0.99):
-            assert classify_bec_channel(Fraction(1, 2), eps) is \
-                BecClass.BOTH_GOOD_AND_BAD
+            assert polarized(Fraction(1, 2), eps) == "bad"
+            assert polarized(Fraction(1, 2), eps,
+                             Variant.NON_TERMINATING) == "good"
 
     @pytest.mark.parametrize("eps", [0.0, 1.0, -0.5, 2.0])
     def test_eps_domain(self, eps):
+        # The polar construction takes BEC(eps) only for eps in (0, 1).
         with pytest.raises(ValueError):
-            classify_bec_channel(Fraction(1, 3), eps)
+            polar_index_set(eps, 3, 1)
 
 
 def doubling_period(x):
