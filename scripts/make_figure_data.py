@@ -18,11 +18,10 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--grid-exponent", "-m", type=int, default=10)
     parser.add_argument("--depth", type=int, default=40)
-    parser.add_argument("--iter-budget", type=int, default=600)
     parser.add_argument("--outdir", default="figure-data")
     args = parser.parse_args()
 
-    rows = threshold_curve(args.grid_exponent, args.depth, args.iter_budget)
+    rows = threshold_curve(args.grid_exponent, args.depth)
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 

@@ -89,8 +89,6 @@ def build_parser() -> _Parser:
                    help="prefix length fed to the estimator (default 40)")
     p.add_argument("--include-dyadics", action="store_true",
                    help="also emit the dyadic grid spikes at theta = 1")
-    p.add_argument("--iter-budget", type=int, default=600,
-                   help="classifier iteration cap per grid point (default 600)")
     p.add_argument("--output", "-o", help="write to file instead of stdout")
     p.add_argument("--json", action="store_true")
 
@@ -172,7 +170,7 @@ def _cmd_threshold(args, out) -> int:
 
 def _cmd_plot_fractal(args, out) -> int:
     rows = thresholds.threshold_curve(args.grid_exponent, args.depth,
-                                      args.iter_budget, args.include_dyadics)
+                                      include_dyadics=args.include_dyadics)
     sink = open(args.output, "w") if args.output else out
     try:
         if args.json:

@@ -38,9 +38,6 @@ _ROOT_MERGE_TOL = 1e-9
 _SCAN_GRID = np.linspace(0.0, 1.0, (1 << 12) + 1)[1:-1]
 _SCAN_GRID.setflags(write=False)
 
-# Prefix-estimator orbits are trapped below this or above 1 minus it.
-_TRAP_BAND = 1e-9
-
 
 class Stability(Enum):
     ATTRACTING = "attracting"
@@ -192,18 +189,14 @@ def _classify_stability(root: float, period: tuple[int, ...]) -> Stability:
 
 
 def _solve_preamble(preamble: tuple[int, ...], zeta: float) -> float:
-    """Unique eps with p_preamble(eps) = zeta; p is increasing with
-    p(0) = 0 and p(1) = 1."""
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        if hi - lo <= 1e-16:
-            break
-        mid = 0.5 * (lo + hi)
-        if apply_path(mid, preamble) < zeta:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    """Unique eps with p_preamble(eps) = zeta, in closed form: the bits
+    are undone from the last to the first, z^2 = z' by sqrt(z') and
+    2z - z^2 = z' by z' / (1 + sqrt(1 - z')), which unlike the equal
+    1 - sqrt(1 - z') does not cancel for small z'."""
+    z = zeta
+    for b in reversed(preamble):
+        z = math.sqrt(z) if b else z / (1.0 + math.sqrt(1.0 - z))
+    return z
 
 
 @lru_cache(maxsize=_THRESHOLD_CACHE_SIZE)
@@ -253,65 +246,25 @@ def _apply_rows(v: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return np.abs(s, out=s)
 
 
-def _classify_batch(eps: np.ndarray, steps: np.ndarray,
-                    iter_budget: int) -> np.ndarray:
-    """Side of the threshold of each row: 0 once its orbit under the
-    prefix map is trapped below ``_TRAP_BAND``, 1 once above
-    ``1 - _TRAP_BAND``, -1 (pinned at the threshold) otherwise.
-
-    The map is deterministic, so an orbit that repeats exactly (w == v)
-    without being trapped stays where it is: such a row is retired as
-    pinned at once instead of running out ``iter_budget``.  NaN never
-    compares equal, so NaN rows still run the whole budget.
-
-    A finished row is parked at 0.0, a fixed point of the map, and masked
-    out; the running columns of ``steps`` are gathered again only once at
-    least half of the carried rows have finished.
-    """
-    res = np.full(eps.size, -1, dtype=np.int8)
-    idx = np.arange(eps.size)
-    running = np.ones(eps.size, dtype=bool)
-    v = _apply_rows(eps, steps)
-    for _ in range(iter_budget):
-        if idx.size == 0:
-            break
-        w = _apply_rows(v, steps)
-        low = (v < _TRAP_BAND) & (w <= v)
-        high = (v > 1.0 - _TRAP_BAND) & (w >= v)
-        done = (low | high | (w == v)) & running
-        if done.any():
-            res[idx[low & done]] = 0
-            res[idx[high & done]] = 1
-            running &= ~done
-            w[done] = 0.0
-            if 2 * np.count_nonzero(running) <= idx.size:
-                steps = np.compress(running, steps, axis=1)
-                idx, w, running = idx[running], w[running], running[running]
-        v = w
-    res[idx[running & (v < _TRAP_BAND)]] = 0
-    res[idx[running & (v > 1.0 - _TRAP_BAND)]] = 1
-    return res
-
-
-def threshold_estimate_batch(prefixes: np.ndarray,
-                             iter_budget: int = 10_000) -> np.ndarray:
+def threshold_estimate_batch(prefixes: np.ndarray) -> np.ndarray:
     """Threshold estimates for the rows of a 0/1 matrix of prefixes,
     bisected in lockstep.  Each prefix is taken to repeat forever, which
     gives the threshold of the rational with that expansion period: a
     plotting approximation, as the paper's thresholds need infinite sequences.
 
-    Each row takes 60 halvings of [0, 1]; a midpoint whose orbit is
-    pinned at the threshold, or that equals an end of its bracket, is the
-    answer for its row.  Rows are independent, so they run in blocks of
-    ``_ROW_BLOCK``, which bounds the memory of the per-bit constants.
+    Each row takes 60 halvings of [0, 1], on the sign of p(mid) - mid for
+    its prefix map p, so the absolute resolution is 2^-60.  A midpoint
+    with p(mid) == mid, or that equals an end of its bracket, is the
+    answer for its row.  The bisection assumes one interior root; a
+    prefix with several returns one of them and is not flagged.  Rows
+    are independent, so they run in blocks of ``_ROW_BLOCK``, which
+    bounds the memory of the per-bit constants.
     """
     rows = np.asarray(prefixes)
     if (rows.ndim != 2 or rows.shape[1] == 0 or rows.dtype.kind not in "biu"
             or ((rows != 0) & (rows != 1)).any()):
         raise ValueError("prefixes must be a non-empty 2-d matrix of 0/1 "
                          "integers or bools")
-    if iter_budget < 0:
-        raise ValueError(f"iter_budget must be >= 0, got {iter_budget}")
     estimates = np.full(rows.shape[0], np.nan)
     for first in range(0, rows.shape[0], _ROW_BLOCK):
         # D[j] of ``_apply_rows``: s is negative after a 1 bit, as -(z * z).
@@ -333,21 +286,19 @@ def threshold_estimate_batch(prefixes: np.ndarray,
             active, mid = active[~stuck], mid[~stuck]
             if live.shape[1] != active.size:  # rows only ever leave
                 live = np.take(steps, active, axis=1)
-            cls = _classify_batch(mid, live, iter_budget)
-            pinned = cls < 0
-            out[active[pinned]] = mid[pinned]
-            went_low = cls == 0
-            went_high = cls == 1
-            lo[active[went_low]] = mid[went_low]
-            hi[active[went_high]] = mid[went_high]
-            active = active[~pinned]
+            d = _apply_rows(mid, live) - mid
+            root = d == 0.0
+            out[active[root]] = mid[root]
+            lo[active[d < 0]] = mid[d < 0]
+            hi[active[d > 0]] = mid[d > 0]
+            active = active[~root]
             if active.size == 0:
                 break
         out[active] = 0.5 * (lo[active] + hi[active])
     return estimates
 
 
-def threshold_curve(m: int, depth: int, iter_budget: int,
+def threshold_curve(m: int, depth: int, *,
                     include_dyadics: bool = False) -> list[tuple[float, float]]:
     """The fractal plot: (x, estimated theta) at the 2^m cell midpoints
     (2j+1)/2^(m+1), in increasing x.
@@ -370,7 +321,7 @@ def threshold_curve(m: int, depth: int, iter_budget: int,
     prefixes[:, :cell] = (j[:, None] >> np.arange(m - 1, m - 1 - cell, -1)) & 1
     tail = (np.arange(depth - m) % 2 == 0).astype(np.uint8)
     np.bitwise_xor((j & 1).astype(np.uint8)[:, None], tail, out=prefixes[:, m:])
-    theta = threshold_estimate_batch(prefixes, iter_budget=iter_budget)
+    theta = threshold_estimate_batch(prefixes)
     rows = list(zip(((2 * j + 1) / (1 << (m + 1))).tolist(), theta.tolist()))
     if include_dyadics:
         rows.extend((k / (1 << m), 1.0) for k in range(1, 1 << m))

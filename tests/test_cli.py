@@ -1,7 +1,9 @@
+import argparse
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -335,6 +337,10 @@ GOLDEN_STDOUT = {
         "41f3c6e213de063d65080bb85636d10e578ee8d6c27f9584a98918e41a89343f",
     "plot-fractal -m 8 --json":
         "0b0615307f4a556d398fad9542e299271b6278e2cf2b55d5105b64bcf4008f66",
+    "plot-fractal -m 11 --json":
+        "6f22afe0da6b93f1741d619b25bcba272fb50b234eb1b31264b72a43332ba30d",
+    "plot-fractal -m 13":
+        "dffa21e338b271d46d5ac605ef1a819841396474a57a244ad44b76d80f9b0e2d",
     "walk --n 8 --exhaustive":
         "b9d6ea7656249d3599d91389100c9ffb13e42ecd7381a15c07ff3c4af77d0ba6",
     "selfsim --n 2 --samples 10 --seed 13":
@@ -419,3 +425,34 @@ class TestParserReuse:
         proc = fresh_python("import polarfractal.cli as cli; "
                             "print(cli.build_parser.cache_info().currsize)")
         assert (proc.returncode, proc.stdout) == (0, "0\n")
+
+
+README = os.path.join(os.path.dirname(SRC_DIR), "README.md")
+SCRIPTS_DIR = os.path.join(os.path.dirname(SRC_DIR), "scripts")
+
+
+def long_flags(parser):
+    """Every long option of a parser and of all its subparsers."""
+    flags = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= long_flags(sub)
+        flags.update(s for s in action.option_strings
+                     if s.startswith("--") and s != "--help")
+    return flags
+
+
+def test_readme_documents_every_flag():
+    with open(README) as fh:
+        readme = fh.read()
+    scripts = ""
+    for name in sorted(os.listdir(SCRIPTS_DIR)):
+        if name.endswith(".py"):
+            with open(os.path.join(SCRIPTS_DIR, name)) as fh:
+                scripts += fh.read()
+    cli_flags = long_flags(build_parser())
+    assert sorted(f for f in cli_flags
+                  if not re.search(re.escape(f) + r"(?![\w-])", readme)) == []
+    assert sorted(f for f in set(re.findall(r"--[a-z][\w-]*", readme))
+                  if f not in cli_flags and f'"{f}"' not in scripts) == []

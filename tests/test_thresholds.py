@@ -1,5 +1,7 @@
+import decimal
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -172,6 +174,34 @@ class TestThresholdOfRational:
         assert threshold_of_rational(Fraction(1, 6)).theta == pytest.approx(
             expected, abs=1e-12)
 
+    @pytest.mark.parametrize("x", [Fraction(1, 1022), Fraction(1, 478)])
+    def test_small_preamble_threshold(self, x):
+        # The 50-digit root of the period map, pulled back through the
+        # preamble map by 50-digit bisection: theta is below 1e-2 here,
+        # so an absolute bisection width in binary64 loses its low digits.
+        spec = real_to_expansion(x)
+        want = decimal_preimage(spec.preamble, decimal_root(spec.period))
+        theta = threshold_of_rational(x).theta
+        assert abs(Decimal(theta) - want) <= 2 * Decimal(math.ulp(theta))
+
+    def test_random_preambles(self):
+        # Rationals with a preamble of 1 to 11 bits: theta, against the
+        # 50-digit preimage of the library's own period root, is within
+        # 3 ulps per preamble bit.
+        rng = random.Random(1022)
+        for _ in range(200):
+            k, r = rng.randrange(1, 12), rng.randrange(3, 200, 2)
+            p = rng.randrange(1, r << k)
+            x = Fraction(p, r << k)
+            spec = real_to_expansion(x)
+            if not spec.preamble or not spec.period:
+                continue
+            zeta = period_fixed_points(spec.period).interior[-1].location
+            want = decimal_preimage(spec.preamble, Decimal(zeta))
+            theta = threshold_of_rational(x).theta
+            tol = 3 * len(spec.preamble) * Decimal(math.ulp(float(want)))
+            assert abs(Decimal(theta) - want) <= tol, x
+
     def test_domain_error(self):
         with pytest.raises(ValueError):
             threshold_of_rational(Fraction(7, 5))
@@ -297,50 +327,25 @@ class TestThresholdEstimate:
             estimate([])
 
 
-def full_budget_estimate(prefixes, iter_budget, delta=1e-9):
-    """The prefix estimator without the pinned exit: every row that is not
-    trapped runs the whole ``iter_budget``.  Returns the estimates and the
-    mask of rows whose bisection ended on a pinned midpoint."""
-    def apply_rows(v, rows):
-        out = v.copy()
-        for j in range(rows.shape[1]):
-            out = np.where(rows[:, j] != 0, out * out, out * (2.0 - out))
-        return out
-
-    def classify(eps, rows):
-        res = np.full(eps.size, -1, dtype=np.int8)
-        idx = np.arange(eps.size)
-        v = apply_rows(eps, rows)
-        for _ in range(iter_budget):
-            if idx.size == 0:
-                break
-            w = apply_rows(v, rows)
-            low = (v < delta) & (w <= v)
-            high = (v > 1.0 - delta) & (w >= v)
-            res[idx[low]] = 0
-            res[idx[high]] = 1
-            keep = ~(low | high)
-            idx, v, rows = idx[keep], w[keep], rows[keep]
-        res[idx[v < delta]] = 0
-        res[idx[v > 1.0 - delta]] = 1
-        return res
-
-    m = prefixes.shape[0]
-    lo, hi = np.zeros(m), np.ones(m)
-    out = np.full(m, np.nan)
-    pinned_rows = np.zeros(m, dtype=bool)
-    active = np.arange(m)
+def full_budget_estimate(prefixes):
+    """The prefix estimator without any early exit: every row takes all 60
+    halvings of [0, 1] on the sign of p(mid) - mid, with the ``np.where``
+    prefix walk of earlier releases over every bit, in one block.  A row
+    whose midpoint is a binary64 fixed point of p (pinned) keeps its
+    bracket, so later halvings repeat that midpoint.  Returns the
+    estimates and the mask of rows that were pinned."""
+    cols = prefixes.T != 0
+    lo, hi = np.zeros(prefixes.shape[0]), np.ones(prefixes.shape[0])
+    pinned = np.zeros(prefixes.shape[0], dtype=bool)
     for _ in range(60):
-        mid = 0.5 * (lo[active] + hi[active])
-        cls = classify(mid, prefixes[active])
-        pinned = cls < 0
-        out[active[pinned]] = mid[pinned]
-        pinned_rows[active[pinned]] = True
-        lo[active[cls == 0]] = mid[cls == 0]
-        hi[active[cls == 1]] = mid[cls == 1]
-        active = active[~pinned]
-    out[active] = 0.5 * (lo[active] + hi[active])
-    return out, pinned_rows
+        mid = 0.5 * (lo + hi)
+        v = mid
+        for bit in cols:
+            v = v * np.where(bit, v, 2.0 - v)
+        pinned |= v == mid
+        lo = np.where(v < mid, mid, lo)
+        hi = np.where(v > mid, mid, hi)
+    return 0.5 * (lo + hi), pinned
 
 
 def plot_prefixes(m, depth):
@@ -354,144 +359,159 @@ def plot_prefixes(m, depth):
     return np.array(rows, dtype=np.uint8)
 
 
+def hexes(values):
+    # float.hex tells -0.0 from 0.0 and matches nan with nan.
+    return [v.hex() for v in np.asarray(values).tolist()]
+
+
 class TestThresholdCurve:
     def test_pinned_rows_match_full_budget(self):
-        m, depth, budget = 11, 40, 600
-        want, pinned = full_budget_estimate(plot_prefixes(m, depth), budget)
+        m, depth = 11, 40
+        want, pinned = full_budget_estimate(plot_prefixes(m, depth))
         assert pinned.any()
-        curve = threshold_curve(m, depth, budget)
+        curve = threshold_curve(m, depth)
         xs = [(2 * j + 1) / (1 << (m + 1)) for j in range(1 << m)]
         assert [x for x, _ in curve] == xs
-        got = [th.hex() for _, th in curve]
+        got = hexes([th for _, th in curve])
         assert [got[j] for j in np.flatnonzero(pinned)] == \
-            [want[j].hex() for j in np.flatnonzero(pinned)]
-        assert got == [w.hex() for w in want.tolist()]
+            [hexes(want)[j] for j in np.flatnonzero(pinned)]
+        assert got == hexes(want)
 
     def test_pinned_scalar_matches_full_budget(self):
-        # Cell 1365 of the m = 11 grid is 1010...: the orbit of one
-        # bisection midpoint sits on a binary64 fixed point of the map.
+        # Cell 1365 of the m = 11 grid is 1010...: one bisection midpoint
+        # is a binary64 fixed point of its prefix map.
         row = plot_prefixes(11, 40)[1365]
-        want, pinned = full_budget_estimate(row[None, :], 2000)
+        want, pinned = full_budget_estimate(row[None, :])
         assert pinned[0]
-        got = estimate(row, iter_budget=2000)
-        assert got.hex() == want[0].hex()
+        assert estimate(row).hex() == want[0].hex()
 
     @pytest.mark.parametrize("prefix", [
         real_to_expansion(Fraction(1, 9)).prefix(24),
         real_to_expansion(Fraction(5, 7)).prefix(200),
         [1, 0] * 150, [0, 1, 1], [1, 0, 0, 0, 1, 1, 0, 1] * 40])
     def test_scalar_matches_full_budget(self, prefix):
-        want, _ = full_budget_estimate(np.array([prefix], dtype=np.uint8), 600)
-        assert estimate(prefix, iter_budget=600).hex() == want[0].hex()
+        want, _ = full_budget_estimate(np.array([prefix], dtype=np.uint8))
+        assert estimate(prefix).hex() == want[0].hex()
 
     @pytest.mark.parametrize("m,depth", [(1, 1), (3, 2), (4, 4), (5, 9), (6, 13)])
     def test_short_and_long_depths(self, m, depth):
-        want, _ = full_budget_estimate(plot_prefixes(m, depth), 50)
-        got = [th for _, th in threshold_curve(m, depth, 50)]
-        assert [g.hex() for g in got] == [w.hex() for w in want.tolist()]
+        want, _ = full_budget_estimate(plot_prefixes(m, depth))
+        got = [th for _, th in threshold_curve(m, depth)]
+        assert hexes(got) == hexes(want)
 
     def test_include_dyadics(self):
-        curve = threshold_curve(3, 40, 600, include_dyadics=True)
+        curve = threshold_curve(3, 40, include_dyadics=True)
         assert [x for x, _ in curve] == [k / 16 for k in range(1, 16)]
         assert all(th == 1.0 for x, th in curve if (16 * x) % 2 == 0)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            threshold_curve(0, 40, 600)
+            threshold_curve(0, 40)
         with pytest.raises(ValueError):
-            threshold_curve(3, 0, 600)
+            threshold_curve(3, 0)
         with pytest.raises(ResourceLimitError):
-            threshold_curve(17, 40, 600)
-
-
-def where_classify(eps, cols, iter_budget, delta):
-    """The classifier with the ``np.where`` prefix walk of earlier
-    releases, kept as a reference for the signed kernel; ``cols[j]`` is
-    the mask of rows whose bit j is 1."""
-    def apply_rows(v, cols):
-        out = v
-        for j, bit in enumerate(cols, 1):
-            out = out * np.where(bit, out, 2.0 - out)
-            if j >= 16 and j & (j - 1) == 0 and ((out == 0.0) | (out == 1.0)).all():
-                break
-        return out
-
-    res = np.full(eps.size, -1, dtype=np.int8)
-    idx = np.arange(eps.size)
-    v = apply_rows(eps, cols)
-    for _ in range(iter_budget):
-        if idx.size == 0:
-            break
-        w = apply_rows(v, cols)
-        low = (v < delta) & (w <= v)
-        high = (v > 1.0 - delta) & (w >= v)
-        done = low | high | (w == v)
-        res[idx[low]] = 0
-        res[idx[high]] = 1
-        keep = ~done
-        idx, v, cols = idx[keep], w[keep], cols[:, keep]
-    res[idx[v < delta]] = 0
-    res[idx[v > 1.0 - delta]] = 1
-    return res
-
-
-def unretired_estimate(prefixes, iter_budget, delta=1e-9):
-    """The batch estimator's bisection on ``where_classify``, in one block
-    and without retiring rows whose midpoint equals an end of their
-    bracket; returns the estimates and the number of row
-    classifications it made."""
-    cols = np.ascontiguousarray(prefixes.T != 0)
-    m = prefixes.shape[0]
-    lo, hi = np.zeros(m), np.ones(m)
-    out = np.full(m, np.nan)
-    active = np.arange(m)
-    classified = 0
-    for _ in range(60):
-        mid = 0.5 * (lo[active] + hi[active])
-        cls = where_classify(mid, cols[:, active], iter_budget, delta)
-        classified += mid.size
-        pinned = cls < 0
-        out[active[pinned]] = mid[pinned]
-        lo[active[cls == 0]] = mid[cls == 0]
-        hi[active[cls == 1]] = mid[cls == 1]
-        active = active[~pinned]
-        if active.size == 0:
-            break
-    out[active] = 0.5 * (lo[active] + hi[active])
-    return out, classified
+            threshold_curve(17, 40)
 
 
 @pytest.mark.parametrize("m", [11, 13])
 def test_retired_brackets_match_unretired_loop(m, monkeypatch):
-    depth, budget = 40, 600
-    want, want_classified = unretired_estimate(plot_prefixes(m, depth), budget)
-    classified = []
-    classify = thresholds._classify_batch
+    # Rows leave the bisection once pinned or once their midpoint equals
+    # an end of the bracket; the prefix map then runs on fewer rows than
+    # the full 60 halvings of every row, with the same results.
+    prefixes = plot_prefixes(m, 40)
+    want, _ = full_budget_estimate(prefixes)
+    mapped = []
+    apply_rows = thresholds._apply_rows
 
-    def counting(eps, cols, iter_budget):
-        classified.append(eps.size)
-        return classify(eps, cols, iter_budget)
+    def counting(v, steps):
+        mapped.append(v.size)
+        return apply_rows(v, steps)
 
-    monkeypatch.setattr(thresholds, "_classify_batch", counting)
-    got = threshold_estimate_batch(plot_prefixes(m, depth), budget)
+    monkeypatch.setattr(thresholds, "_apply_rows", counting)
+    got = threshold_estimate_batch(prefixes)
     assert got.shape == (1 << m,)
-    assert [g.hex() for g in got.tolist()] == [w.hex() for w in want.tolist()]
-    assert sum(classified) < want_classified
+    assert hexes(got) == hexes(want)
+    assert sum(mapped) < 60 * prefixes.shape[0]
 
 
 @pytest.mark.parametrize("width", [1, 2, 7, 57, 200])
-@pytest.mark.parametrize("budget", [0, 3, 600])
-def test_signed_kernel_matches_where_loop(width, budget, monkeypatch):
+@pytest.mark.parametrize("seed", [0, 3, 600])
+def test_signed_kernel_matches_where_loop(width, seed, monkeypatch):
     # 45 random rows in blocks of 16, so two block edges fall inside;
     # one row is all 1s and one all 0s, which saturate at once.
-    rng = np.random.default_rng(1000 * width + budget)
+    rng = np.random.default_rng(1000 * width + seed)
     prefixes = rng.integers(0, 2, size=(45, width), dtype=np.uint8)
     prefixes[5], prefixes[30] = 1, 0
-    want, _ = unretired_estimate(prefixes, budget)
+    want, _ = full_budget_estimate(prefixes)
+    one_block = threshold_estimate_batch(prefixes)
     monkeypatch.setattr(thresholds, "_ROW_BLOCK", 16)
-    got = threshold_estimate_batch(prefixes, budget)
-    assert [g.hex() for g in got.tolist()] == [w.hex() for w in want.tolist()]
-    assert threshold_estimate_batch(prefixes[:0], budget).shape == (0,)
+    got = threshold_estimate_batch(prefixes)
+    assert hexes(got) == hexes(one_block) == hexes(want)
+    assert threshold_estimate_batch(prefixes[:0]).shape == (0,)
+
+
+def test_estimates_of_all_8_bit_periods():
+    # One batch of every non-trivial period v of 8 bits, against the
+    # exact path of v/255, whose expansion repeats those 8 bits.
+    v = np.arange(1, 255)
+    rows = (v[:, None] >> np.arange(7, -1, -1)) & 1
+    got = threshold_estimate_batch(rows)
+    exact = [threshold_of_rational(Fraction(int(k), 255)).theta for k in v]
+    assert np.abs(got - exact).max() <= 1e-13
+
+
+def decimal_root(bits, halvings=170):
+    """The interior root of p(z) = z for a period with one, bisected on
+    [0, 1] in 50-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        lo, hi = Decimal(0), Decimal(1)
+        for _ in range(halvings):
+            mid = (lo + hi) / 2
+            v = mid
+            for b in bits:
+                v = v * v if b else v * (2 - v)
+            if v < mid:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
+def decimal_preimage(preamble, zeta, halvings=170):
+    """eps with p_preamble(eps) = zeta, bisected in 50-digit decimal
+    arithmetic; p_preamble is increasing on [0, 1]."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        lo, hi = Decimal(0), Decimal(1)
+        for _ in range(halvings):
+            mid = (lo + hi) / 2
+            v = mid
+            for b in preamble:
+                v = v * v if b else v * (2 - v)
+            if v < zeta:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
+def test_estimates_match_decimal_roots():
+    # 300 random 10-bit periods with one sign change of p(z) - z on the
+    # scan grid; the worst is 5.1e-15, at theta near 0.84.
+    rng = np.random.default_rng(1510)
+    grid = thresholds._SCAN_GRID
+    rows = []
+    while len(rows) < 300:
+        bits = rng.integers(0, 2, 10)
+        v = grid
+        for b in bits:
+            v = v * v if b else v * (2.0 - v)
+        if np.count_nonzero(np.diff(np.sign(v - grid))) == 1:
+            rows.append(bits)
+    got = threshold_estimate_batch(np.array(rows))
+    for row, theta in zip(rows, got.tolist()):
+        assert abs(Decimal(theta) - decimal_root(row)) <= Decimal("1e-13"), row
 
 
 class TestEstimatorInput:
@@ -499,20 +519,13 @@ class TestEstimatorInput:
                                       [[0.0, 1.0]], [["0", "1"]], [0, 1]])
     def test_rejected(self, bad):
         with pytest.raises(ValueError):
-            threshold_estimate_batch(np.array(bad), 10)
+            threshold_estimate_batch(np.array(bad))
 
     def test_bool_and_int_rows_accepted(self):
         rows = plot_prefixes(3, 12)
-        want = threshold_estimate_batch(rows, 50)
+        want = threshold_estimate_batch(rows)
         for same in (rows.astype(bool), rows.astype(np.int64), rows.tolist()):
-            got = threshold_estimate_batch(same, 50)
-            assert [g.hex() for g in got.tolist()] == [w.hex() for w in want.tolist()]
-
-    def test_negative_budget_rejected(self):
-        with pytest.raises(ValueError):
-            threshold_estimate_batch(plot_prefixes(3, 12), -1)
-        with pytest.raises(ValueError):
-            threshold_curve(3, 12, -5)
+            assert hexes(threshold_estimate_batch(same)) == hexes(want)
 
 
 def polarized(x, eps, variant=Variant.TERMINATING):
@@ -590,7 +603,7 @@ def test_thresholds_agree_with_independent_oracles():
     for x in xs:
         period = doubling_period(x)
         theta = threshold_of_rational(x).theta
-        assert abs(theta - estimate(period)) <= 1e-9, x
+        assert abs(theta - estimate(period)) <= 1e-13, x
         if len(period) <= 12:
             short += 1
             below = exact_gap(Fraction(theta) - Fraction(1, 10**9), period)
