@@ -3,7 +3,7 @@
 from .codes import (GeneratorMatrix, IndexSet, generator_matrix,
                     heavy_membership, kronecker_row, polar_index_set,
                     rm_index_set)
-from .errors import ResourceLimitError, TrivialPeriodError, UnresolvedError
+from .errors import ResourceLimitError, TrivialPeriodError
 from .expansions import (ExpansionSpec, Variant, expansion_to_real, is_dyadic,
                          parse_rational, real_to_expansion)
 from .fractal import (HeavyImplicationViolation, MeasureEstimate,

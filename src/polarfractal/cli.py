@@ -3,7 +3,7 @@
 Subcommands: threshold, plot-fractal, construct, measure, selfsim, heavy,
 walk, entropy.  Output is deterministic given the flags; every stochastic
 path requires --seed.  Exit codes: 0 ok, 1 usage or parse error, 2
-unresolved result or violation found, 3 resource limit.
+violation or defect found, 3 resource limit.
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import codes, fractal, thresholds
-from .errors import ResourceLimitError, UnresolvedError
+from .errors import ResourceLimitError
 from .expansions import is_dyadic, parse_rational
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_UNRESOLVED = 2
+EXIT_VIOLATION = 2
 EXIT_RESOURCE = 3
 
 _PLOT_DEFAULT_DEPTH = 40
@@ -297,7 +297,7 @@ def _cmd_selfsim(args, out) -> int:
         _print(out, f"violations = {len(violations)}")
         for v in violations:
             _print(out, f"  {v}")
-    return EXIT_UNRESOLVED if violations else EXIT_OK
+    return EXIT_VIOLATION if violations else EXIT_OK
 
 
 def _cmd_heavy(args, out) -> int:
@@ -338,7 +338,7 @@ def _cmd_walk(args, out) -> int:
             for row in rows:
                 _print(out, f"{row.r},{row.prob},{row.closed_form},"
                             f"{row.cumulative},{_fmt(row.bound)},{row.defect}")
-        return EXIT_UNRESOLVED if defective else EXIT_OK
+        return EXIT_VIOLATION if defective else EXIT_OK
     if args.trials is None or args.seed is None:
         raise _UsageError("walk needs --exhaustive or --trials with --seed")
     stats = fractal.walk_distribution(args.n, trials=args.trials,
@@ -403,9 +403,6 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except UnresolvedError as exc:
-        print(f"unresolved: {exc}", file=sys.stderr)
-        return EXIT_UNRESOLVED
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -6,10 +6,5 @@ class TrivialPeriodError(ValueError):
     fixed point."""
 
 
-class UnresolvedError(RuntimeError):
-    """Raised when an iterative classifier cannot decide within its budget."""
-
-
 class ResourceLimitError(RuntimeError):
-    """Raised when an exhaustive enumeration would exceed the configured
-    memory budget; callers should switch to the streaming/sampling path."""
+    """Raised when an input would exceed a fixed time or memory budget."""

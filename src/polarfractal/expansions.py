@@ -15,11 +15,18 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .errors import ResourceLimitError
+
 
 class Variant(Enum):
     TERMINATING = "terminating"
     NON_TERMINATING = "non-terminating"
 
+
+# Bounds for a non-dyadic p/q: the odd part of q (trial division tries
+# under 2^20 divisors) and the period length k (2^k - 1 is built).
+_MAX_ODD_DENOMINATOR = 1 << 40
+_MAX_PERIOD_BITS = 1 << 20
 
 _BITS_TO_CHARS = bytes.maketrans(bytes([0, 1]), b"01")
 _CHARS_TO_BITS = bytes.maketrans(b"01", bytes([0, 1]))
@@ -121,7 +128,8 @@ def real_to_expansion(x: Fraction | int | str,
     ignored.  For dyadic x the terminating form has an empty period and
     the non-terminating form flips the last preamble bit and appends the
     all-ones period.  x = 0 and x = 1 each have a single expansion,
-    returned for either variant.
+    returned for either variant.  Raises ResourceLimitError when the odd
+    part of the denominator exceeds 2^40 or the period exceeds 2^20 bits.
     """
     x = Fraction(x)
     if not 0 <= x <= 1:
@@ -145,7 +153,11 @@ def real_to_expansion(x: Fraction | int | str,
     a = (q & -q).bit_length() - 1
     m = q >> a
     head, r = divmod(p, m)
+    if m > _MAX_ODD_DENOMINATOR:
+        raise ResourceLimitError(f"odd part {m} of the denominator exceeds 2^40")
     k = _multiplicative_order_of_two(m)
+    if k > _MAX_PERIOD_BITS:
+        raise ResourceLimitError(f"period of {k} bits exceeds 2^20 bits")
     period_value = r * ((1 << k) - 1) // m
     preamble = _int_to_bits(head, a)
     return ExpansionSpec(preamble, _int_to_bits(period_value, k))

@@ -47,9 +47,11 @@ def apply_path(z: float, bits: Sequence[int]) -> float:
     underflow) and only a worse step can reach 1.0 (by rounding), so each
     branch checks for its own value.  A square is never -0.0, so the sign
     of zero also comes out as in the full loop: a -0.0 input stays -0.0
-    through worse steps until the first square.  Long periods therefore
-    cost only their live prefix, which is a few dozen to a few hundred
-    bits for any orbit that leaves a repelling fixed point.
+    through worse steps until the first square.  An orbit that leaves a
+    repelling fixed point saturates within a few dozen to a few hundred
+    bits, so the rest of a long path costs nothing, except a run of 0
+    bits from v = 1 - 2^-53: the worse step fixes that v (2.0 - v rounds
+    to 1.0), so the loop walks the whole run.
     """
     v = _check_unit(z)
     for b in bits:

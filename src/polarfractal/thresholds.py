@@ -74,33 +74,18 @@ class ThresholdResult:
     multiplicity_flag: bool
 
 
-def _path_value_and_derivative(z: float, bits: Sequence[int]) -> tuple[float, float]:
-    """Forward-mode evaluation of (p(z), p'(z)) along the bit path.
-
-    Stops once v is exactly 0.0 or 1.0 and dv is exactly 0.0: both are
-    then fixed by every remaining step.
-    """
-    v, dv = z, 1.0
-    for b in bits:
-        if dv == 0.0 and (v == 0.0 or v == 1.0):
-            break
-        if b:
-            dv = 2.0 * v * dv
-            v = v * v
-        else:
-            dv = (2.0 - 2.0 * v) * dv
-            v = v * (2.0 - v)
-    return v, dv
-
-
 def _bisect_root(bits: tuple[int, ...], lo: float, hi: float,
                  d_lo: float) -> float:
-    """Root of p(z) - z inside a sign-change bracket, polished by Newton."""
+    """Root of p(z) - z in a sign-change bracket whose lower end has the
+    sign of ``d_lo``, bisected on the sign of p(mid) - mid down to adjacent
+    doubles: the first midpoint equal to an end of its bracket, or fixed
+    by p, is the root.  The stop is relative, so a small root keeps its
+    digits."""
     sign_lo = d_lo < 0
-    for _ in range(200):
-        if hi - lo <= 1e-15:
-            break
+    while True:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
         d = apply_path(mid, bits) - mid
         if d == 0.0:
             return mid
@@ -108,25 +93,14 @@ def _bisect_root(bits: tuple[int, ...], lo: float, hi: float,
             lo = mid
         else:
             hi = mid
-    root = 0.5 * (lo + hi)
-    for _ in range(3):
-        v, dv = _path_value_and_derivative(root, bits)
-        denom = dv - 1.0
-        if denom == 0.0:
-            break
-        step = (v - root) / denom
-        cand = root - step
-        if not lo <= cand <= hi:
-            break
-        root = cand
-    return root
 
 
 def period_fixed_points(period: Sequence[int]) -> FixedPointReport:
     """Locate all fixed points of the period map on [0,1].
 
     Interior crossings of p(z) - z are bracketed by sign changes on a
-    uniform grid and refined by bisection; the endpoints 0 and 1 are
+    uniform grid and bisected down to adjacent doubles on the sign of
+    p(z) - z alone (``_bisect_root``); the endpoints 0 and 1 are
     always attracting for non-trivial periods (vanishing derivatives).
     Stability of interior points is read off the sign of p(z) - z on
     either side.  Near-tangential pairs closer than the 1/4096 grid step

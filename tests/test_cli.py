@@ -45,6 +45,13 @@ class TestThresholdCommand:
         rc, _ = run(["threshold", "zebra"])
         assert rc == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["threshold", "1/1000000007"],  # a period of 500,000,003 bits
+        ["heavy", "1/1000000007", "--rho", "1/2"],
+        ["threshold", "1/2305843009213693951"]])  # odd part 2^61 - 1
+    def test_expansion_bounds_exit_resource(self, argv):
+        assert run(argv) == (3, "")
+
 
 class TestPlotFractal:
     def test_point_count_and_monotone_x(self):
@@ -328,7 +335,7 @@ class TestContract:
 # which may differ between platforms.
 GOLDEN_STDOUT = {
     "threshold 6394/30375 --json":
-        "13a666bcb19b8be341c8a49e6175797b5f819db2f22909874e95663d9b18d5b7",
+        "93e372755b3fce8728f96833e57f96428f2e84be5281d8abacd91612f9e1418e",
     "construct polar --eps 0.3 --n 12 --k 1000 --json":
         "4eea0914f927d6f296054bb336fbb50b8fca0f3d2a39197eacd381ed511b8ece",
     "construct rm --n 12 --r 5":

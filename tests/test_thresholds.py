@@ -15,7 +15,6 @@ from polarfractal.polarization import apply_path
 from polarfractal.thresholds import (Certainty, FixedPoint, FixedPointReport,
                                      Stability, _bisect_root,
                                      _classify_stability,
-                                     _path_value_and_derivative,
                                      period_fixed_points, threshold_curve,
                                      threshold_estimate_batch,
                                      threshold_of_rational)
@@ -217,6 +216,39 @@ class TestThresholdOfRational:
         assert apply_path(theta, [1] * k + [0]) == theta
         assert theta + threshold_of_rational(1 - x).theta == 1.0
 
+    @pytest.mark.parametrize("k", [20, 25, 30, 40])
+    def test_small_period_roots(self, k):
+        # x = 1/(2^k - 1) repeats 0^(k-1) 1, whose root is about 4^(1-k):
+        # halving z from 1/2 while p(z) > z finds its binade, and a linear
+        # bisection in 60 digits its digits.  The root is far below 1e-15,
+        # so only a relative stop keeps its digits.
+        x = Fraction(1, (1 << k) - 1)
+        bits = (0,) * (k - 1) + (1,)
+        assert real_to_expansion(x).period == bits
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            hi = Decimal(1) / 2
+            while decimal_path(hi / 2, bits) > hi / 2:
+                hi /= 2
+            want = decimal_bisect(bits, hi / 2, hi, 200)
+        theta = threshold_of_rational(x).theta
+        assert abs(Decimal(theta) - want) <= 4 * Decimal(math.ulp(theta))
+
+    def test_long_period_small_root(self):
+        # 2/5561 has a 2706-bit period and theta near 8.2e-4.  Its 60-digit
+        # root is bisected from a bracket 2^-30 relative either side of
+        # theta, whose two ends are checked in decimal first.
+        x = Fraction(2, 5561)
+        bits = real_to_expansion(x).period
+        theta = threshold_of_rational(x).theta
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            lo = Decimal(theta) * (1 - Decimal(2) ** -30)
+            hi = Decimal(theta) * (1 + Decimal(2) ** -30)
+            assert decimal_path(lo, bits) < lo and decimal_path(hi, bits) > hi
+            want = decimal_bisect(bits, lo, hi, 100)
+        assert abs(Decimal(theta) - want) <= 4 * Decimal(math.ulp(theta))
+
 
 def symmetry_defect(x):
     """|theta(x) + theta(1 - x) - 1|, zero for every non-dyadic x."""
@@ -271,29 +303,6 @@ def test_endpoint_derivatives_vanish():
     for period in ([1, 0], [0, 1], [1, 1, 0], [0, 0, 1, 1]):
         assert apply_path(h, period) / h <= 1e-4
         assert (1.0 - apply_path(1.0 - h, period)) / h <= 1e-4
-
-
-def test_path_value_and_derivative_saturation_exit_matches_full_loop():
-    def full_loop(z, bits):
-        v, dv = z, 1.0
-        for b in bits:
-            if b:
-                dv = 2.0 * v * dv
-                v = v * v
-            else:
-                dv = (2.0 - 2.0 * v) * dv
-                v = v * (2.0 - v)
-        return v, dv
-
-    rng = random.Random(1506)
-    paths = [[rng.randrange(2) for _ in range(6000)],
-             [0] * 1100 + [1] + [0] * 10,
-             [1] * 1100 + [0] + [1] * 10]
-    for bits in paths:
-        for z in (0.0, -0.0, 1.0, *np.linspace(0.0, 1.0, 65).tolist()):
-            got = _path_value_and_derivative(z, bits)
-            # float.hex tells -0.0 from 0.0 and matches nan with nan.
-            assert [x.hex() for x in got] == [x.hex() for x in full_loop(z, bits)]
 
 
 class TestThresholdEstimate:
@@ -460,22 +469,31 @@ def test_estimates_of_all_8_bit_periods():
     assert np.abs(got - exact).max() <= 1e-13
 
 
+def decimal_path(z, bits):
+    """p(z) along ``bits``, one step per bit in the current decimal context."""
+    for b in bits:
+        z = z * z if b else z * (2 - z)
+    return z
+
+
+def decimal_bisect(bits, lo, hi, halvings):
+    """Bisection of p(z) - z on [lo, hi], below the root at lo and above
+    it at hi, in the current decimal context."""
+    for _ in range(halvings):
+        mid = (lo + hi) / 2
+        if decimal_path(mid, bits) < mid:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
 def decimal_root(bits, halvings=170):
     """The interior root of p(z) = z for a period with one, bisected on
     [0, 1] in 50-digit decimal arithmetic."""
     with decimal.localcontext() as ctx:
         ctx.prec = 50
-        lo, hi = Decimal(0), Decimal(1)
-        for _ in range(halvings):
-            mid = (lo + hi) / 2
-            v = mid
-            for b in bits:
-                v = v * v if b else v * (2 - v)
-            if v < mid:
-                lo = mid
-            else:
-                hi = mid
-        return (lo + hi) / 2
+        return decimal_bisect(bits, Decimal(0), Decimal(1), halvings)
 
 
 def decimal_preimage(preamble, zeta, halvings=170):
