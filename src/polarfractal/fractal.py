@@ -22,12 +22,17 @@ import numpy as np
 from .codes import heavy_membership
 from .errors import ResourceLimitError
 from .polarization import MAX_LEAF_LIST_DEPTH, bec_leaf_counts
-from .thresholds import threshold_of_rational
+from .thresholds import _apply_rows, _step_constants, threshold_of_rational
 from .expansions import is_dyadic
 
 # Fixed Monte Carlo chunk so results never depend on the thread count:
 # chunk i always draws from the Philox stream jumped by i.
 _CHUNK_TRIALS = 1 << 14
+
+# Largest chunk of packed paths (rows x bytes per row) one draw may make:
+# 16384 paths of 16384 steps.  The crossing fold allocates about 16 times
+# the chunk it folds, so one worker holds about 0.5 GiB at this budget.
+_MAX_CHUNK_BYTES = 1 << 25
 
 _MAX_EXHAUSTIVE_WALK = 25
 
@@ -86,15 +91,23 @@ def _mc_accumulate(trials: int, seed: int, threads: int, n: int,
                    fold: Callable[[np.ndarray, int], np.ndarray]) -> np.ndarray:
     """Sum ``fold(packed, n)`` over fixed-size chunks of n-step paths.
 
-    Chunk i draws ``packed``, one uint8 row per path holding its steps as
-    bits (most significant first), from the Philox stream jumped by i from
-    the seed key, so the total is the same bit for bit whatever
-    ``threads``; no more threads than chunks or CPUs are started.
+    Chunk i fills ``packed``, one uint8 row per path holding its steps as
+    bits (most significant first), with the little-endian bytes of the raw
+    64-bit outputs of the Philox stream jumped by i from the seed key
+    (the bytes ``Generator.integers(0, 256, dtype=np.uint8)`` gives), so
+    the total is the same bit for bit whatever ``threads``.  No more
+    threads than chunks or usable CPUs are started, and a chunk above
+    ``_MAX_CHUNK_BYTES`` raises ``ResourceLimitError`` before any draw.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if seed is None:
         raise ValueError("a seed is required for Monte Carlo reproducibility")
+    rows, width = min(trials, _CHUNK_TRIALS), -(-n // 8)
+    if rows * width > _MAX_CHUNK_BYTES:
+        raise ResourceLimitError(
+            f"a Monte Carlo chunk of {rows} paths of {n} steps exceeds "
+            f"{_MAX_CHUNK_BYTES} packed bytes; lower the horizon or the trials")
     jobs = []
     done = 0
     while done < trials:
@@ -104,11 +117,14 @@ def _mc_accumulate(trials: int, seed: int, threads: int, n: int,
 
     def run(job: tuple[int, int]) -> np.ndarray:
         i, count = job
-        rng = np.random.Generator(np.random.Philox(key=seed).jumped(i))
-        return fold(rng.integers(0, 256, size=(count, -(-n // 8)),
-                                 dtype=np.uint8), n)
+        size = count * width
+        raw = np.random.Philox(key=seed).jumped(i).random_raw(-(-size // 8))
+        packed = raw.astype("<u8", copy=False).view(np.uint8)[:size]
+        return fold(packed.reshape(count, width), n)
 
-    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(threads, len(jobs), cpus)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, jobs))
@@ -132,16 +148,19 @@ def _step_major(packed: np.ndarray, n: int) -> np.ndarray:
 def _bec_leaf_samples(packed: np.ndarray, eps: float,
                       depths: Sequence[int]) -> list[np.ndarray]:
     """z at each of the increasing ``depths`` along the packed paths, a
-    1 bit being the worse step z -> z^2 and a 0 bit z -> z(2 - z).  Bits
-    are unpacked 64 steps at a time, so deep paths stay packed."""
+    1 bit being the worse step z -> z^2 and a 0 bit z -> z(2 - z), by the
+    signed step of ``thresholds._apply_rows``, which returns |s| and so
+    restarts positive at each depth.  Bits are unpacked 64 steps at a
+    time, so deep paths stay packed."""
     z = np.full(packed.shape[0], eps)
     out = []
     for start in range(0, depths[-1], 64):
-        block = _step_major(packed[:, start // 8:start // 8 + 8],
-                            min(64, depths[-1] - start))
-        for t, bit in enumerate(block, start + 1):
-            z = z * np.where(bit, z, 2.0 - z)
-            if t in depths:
+        stop = min(start + 64, depths[-1])
+        bits = _step_major(packed[:, start // 8:start // 8 + 8], stop - start)
+        cuts = [t for t in depths if start < t < stop] + [stop]
+        for a, b in zip([start] + cuts, cuts):
+            z = _apply_rows(z, _step_constants(bits[a - start:b - start]))
+            if b in depths:
                 out.append(z)
     return out
 
@@ -410,20 +429,34 @@ def walk_min_nonnegative_fraction(n: int, trials: int, seed: int,
     return int(hits[0]) / trials
 
 
+def _byte_walk(r: int) -> np.ndarray:
+    """Net displacement and running minimum of the walk over the first r
+    bits (1 = up, most significant first) of each byte, as (2, 256)."""
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
+                         count=r)
+    walk = np.cumsum(2 * bits.astype(np.int32) - 1, axis=1, dtype=np.int32)
+    return np.stack([walk[:, -1], walk.min(axis=1)])
+
+
+# ``_byte_walk(r)`` for r = 1..8 steps, keyed by r.
+_BYTE_WALKS = {r: _byte_walk(r) for r in range(1, 9)}
+
+
 def _never_negative_count(packed: np.ndarray, n: int) -> np.ndarray:
     """Number of packed rows whose walk over their first n bits (1 = up)
-    never goes below 0, as a one-element array.  Walks go 64 steps at a
-    time and are dropped once negative, as half are at the first step."""
+    never goes below 0, as a one-element array.  Walks go a byte at a time
+    through ``_BYTE_WALKS``; dead rows are dropped after the first byte,
+    which about 3 in 4 do not survive, and then every 8 bytes."""
     dtype = np.int32 if n < 1 << 31 else np.int64
-    pos = np.zeros((len(packed), 1), dtype=dtype)
-    for start in range(0, n, 64):
-        block = np.unpackbits(packed[:, start // 8:start // 8 + 8], axis=1,
-                              count=min(64, n - start))
-        walk = np.cumsum(block, axis=1, dtype=dtype)
-        walk *= 2
-        walk += pos - np.arange(1, block.shape[1] + 1, dtype=dtype)
-        alive = walk.min(axis=1) >= 0
-        packed, pos = packed[alive], walk[alive, -1:]
-        if not len(packed):
-            break
-    return np.array([len(packed)])
+    pos = np.zeros(len(packed), dtype=dtype)
+    alive = np.ones(len(packed), dtype=bool)
+    for col in range(-(-n // 8)):
+        net, low = _BYTE_WALKS[min(8, n - 8 * col)]
+        byte = packed[:, col]
+        alive &= pos + low[byte] >= 0
+        pos += net[byte]
+        if col % 8 == 0:
+            packed, pos, alive = packed[alive], pos[alive], alive[alive]
+            if not len(packed):
+                break
+    return np.array([np.count_nonzero(alive)])

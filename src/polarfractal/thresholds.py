@@ -220,6 +220,18 @@ def _apply_rows(v: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return np.abs(s, out=s)
 
 
+def _step_constants(bits: np.ndarray) -> np.ndarray:
+    """D[j] of ``_apply_rows`` for a (steps, rows) 0/1 matrix whose walk
+    starts at s > 0: 0 for a 1 bit, which leaves s negative as -(z * z),
+    and for a 0 bit 2, or -2 after a 1 bit; as 2 (1 - b[j]) (1 - 2 b[j-1])
+    in int8, which is several times faster than masked assignment."""
+    b = np.ascontiguousarray(bits, dtype=np.int8)
+    d = 1 - b
+    d[0] *= 2
+    d[1:] *= 2 - 4 * b[:-1]
+    return d.astype(np.float64)
+
+
 def threshold_estimate_batch(prefixes: np.ndarray) -> np.ndarray:
     """Threshold estimates for the rows of a 0/1 matrix of prefixes,
     bisected in lockstep.  Each prefix is taken to repeat forever, which
@@ -241,11 +253,7 @@ def threshold_estimate_batch(prefixes: np.ndarray) -> np.ndarray:
                          "integers or bools")
     estimates = np.full(rows.shape[0], np.nan)
     for first in range(0, rows.shape[0], _ROW_BLOCK):
-        # D[j] of ``_apply_rows``: s is negative after a 1 bit, as -(z * z).
-        cols = rows[first:first + _ROW_BLOCK].T != 0
-        steps = np.full(cols.shape, 2.0)
-        steps[1:][cols[:-1]] = -2.0
-        steps[cols] = 0.0
+        steps = _step_constants(rows[first:first + _ROW_BLOCK].T)
         out = estimates[first:first + _ROW_BLOCK]
         lo = np.zeros(out.size)
         hi = np.ones(out.size)

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,6 +310,24 @@ class TestContract:
             outputs.add(out)
         assert len(outputs) == 1
 
+    @pytest.mark.parametrize("command", [
+        "walk --n 3000000 --trials 100000 --seed 1 --min-nonneg",
+        "walk --n 3000000 --trials 100000 --seed 1",
+        "measure --eps 0.3 --depths 26,3000000 --trials 100000 --seed 1"])
+    def test_oversized_chunk_exits_3_before_drawing(self, command, capsys):
+        """One chunk would be 16384 x 375000 bytes (5.7 GiB); the budget
+        check fires before any draw, so the run stays under 1 MiB."""
+        tracemalloc.start()
+        try:
+            rc, out = run(command.split())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rc, out) == (3, "")
+        assert capsys.readouterr().err.startswith(
+            "resource limit: a Monte Carlo chunk of 16384 paths")
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_nonpositive_threads_rejected(self, threads):
         rc, out = run(["walk", "--n", "10", "--trials", "100", "--seed", "1",
@@ -354,6 +373,12 @@ GOLDEN_STDOUT = {
         "eb4511c5f5bad459cdc797df25e45dd5f9b12228bdf79133771bd9dbb6fef792",
     "heavy 2/3 --rho 1/2":
         "42e2d1d11c56ed83a2ce0c8f50a97e6c80607ed8e9061bf72fdd76937335566e",
+    "walk --n 301 --trials 20000 --seed 5":
+        "d53aa6597d7c226429c246684e85591a5ba6d0da6a8919916268b06fafcbe0c5",
+    "walk --n 1000 --trials 20000 --seed 5 --min-nonneg":
+        "e8017d73547d4e7bf96c6c366215d9a62157ff71419a0bf6c95abbae23fc8175",
+    "measure --eps 0.3 --depths 26,30,40 --trials 20000 --seed 5":
+        "7542e7463fcefc32fdf91304a3d8c384d9b2a659e16edd467fec5be79daba416",
     "construct rm --n 8 --r 3 --matrix-format binary --matrix-out":
         "6eb76576aa413d39799cffacda761b934a556a28313ce99784acbbf9a51533b5",
 }

@@ -333,7 +333,7 @@ class TestMinNonnegative:
         assert abs(got - exact) <= 5 * sigma
 
     def test_matches_ballot_closed_form_past_many_blocks(self):
-        # n = 1000 runs the blocked walk through 16 blocks of 64 steps.
+        # n = 1000 runs the byte walk through 125 bytes and 16 drops.
         n, trials = 1000, 200000
         exact = math.comb(n, n // 2) / 2.0**n
         got = fractal.walk_min_nonnegative_fraction(n, trials, seed=47)
@@ -403,28 +403,80 @@ class TestPackedFolds:
         got = fractal._crossing_counts(packed, n)
         assert got.tolist() == np.bincount(want, minlength=size).tolist()
 
-    @pytest.mark.parametrize("n", HORIZONS)
+    @pytest.mark.parametrize("n", HORIZONS + [8, 9, 1000])
     def test_never_negative_matches_running_minimum(self, n):
         packed = packed_rows(100 + n, 3000, n)
-        bits = np.unpackbits(packed, axis=1, count=n).astype(np.int64)
-        want = (np.cumsum(2 * bits - 1, axis=1).min(axis=1) >= 0).sum()
-        assert fractal._never_negative_count(packed, n).tolist() == [want]
+        # The same rows made to die within their first 8 bytes: row i takes
+        # k = i mod 8 balanced bytes (0xAA), then a down step.
+        dying = packed.copy()
+        k = np.arange(len(dying)) % min(8, dying.shape[1])
+        head = dying[:, :8]
+        head[np.arange(head.shape[1]) < k[:, None]] = 0xAA
+        dying[np.arange(len(dying)), k] &= 0x7F
+        for rows in (packed, dying):
+            bits = np.unpackbits(rows, axis=1, count=n).astype(np.int64)
+            want = (np.cumsum(2 * bits - 1, axis=1).min(axis=1) >= 0).sum()
+            assert fractal._never_negative_count(rows, n).tolist() == [want]
+        assert want == 0  # no dying row survives
 
     @pytest.mark.parametrize("depths", [HORIZONS, [1], [7, 64], [26, 30, 40]])
     def test_shared_measure_pass_matches_per_depth_loops(self, depths):
-        eps = 0.3
-        packed = np.vstack([packed_rows(len(depths), 400, depths[-1]),
-                            balanced_paths(len(depths), 100, depths[-1], eps)])
-        rows = len(packed)
-        bits = np.unpackbits(packed, axis=1, count=depths[-1])
-        got = fractal._bec_leaf_samples(packed, eps, depths)
-        assert len(got) == len(depths)
-        for depth, z_got in zip(depths, got):
-            z = np.full(rows, eps)
-            for t in range(depth):
-                bit = bits[:, t] == 1
-                z = np.where(bit, z * z, z * (2.0 - z))
-            assert [v.hex() for v in z_got.tolist()] == [v.hex() for v in z.tolist()]
+        # From eps = 1e-300 a 1 bit underflows to 0.0, and from
+        # 1 - 2^-27 a 0 bit reaches 1.0 exactly.
+        saturated = set()
+        for eps in (0.3, 1e-300, 1.0 - 2.0**-27):
+            packed = np.vstack([
+                packed_rows(len(depths), 400, depths[-1]),
+                balanced_paths(len(depths), 100, depths[-1], eps)])
+            rows = len(packed)
+            bits = np.unpackbits(packed, axis=1, count=depths[-1])
+            got = fractal._bec_leaf_samples(packed, eps, depths)
+            assert len(got) == len(depths)
+            for depth, z_got in zip(depths, got):
+                z = np.full(rows, eps)
+                for t in range(depth):
+                    bit = bits[:, t] == 1
+                    z = np.where(bit, z * z, z * (2.0 - z))
+                assert ([v.hex() for v in z_got.tolist()]
+                        == [v.hex() for v in z.tolist()])
+                saturated |= {0.0, 1.0} & set(z.tolist())
+        assert saturated == {0.0, 1.0}
+
+
+class TestChunkStream:
+    @pytest.mark.parametrize("seed", [1, 5, 2**40 + 3])
+    @pytest.mark.parametrize("rows,width", [(1, 1), (3, 5), (7, 13), (1000, 38)])
+    def test_raw_bytes_match_generator_integers(self, seed, rows, width):
+        """Chunk i holds the bytes ``Generator.integers`` draws from the
+        Philox stream jumped by i, here for jumps 0, 1 and 2, the last
+        chunk short; 3 x 5 and 7 x 13 bytes are not whole 64-bit words."""
+        chunks = []
+
+        def record(packed, n):
+            chunks.append(packed.copy())
+            return np.zeros(1)
+
+        trials = 2 * fractal._CHUNK_TRIALS + rows
+        fractal._mc_accumulate(trials, seed, 1, 8 * width - 3, record)
+        full = (fractal._CHUNK_TRIALS, width)
+        assert [c.shape for c in chunks] == [full, full, (rows, width)]
+        for jump, got in enumerate(chunks):
+            rng = np.random.Generator(np.random.Philox(key=seed).jumped(jump))
+            want = rng.integers(0, 256, size=got.shape, dtype=np.uint8)
+            assert np.array_equal(got, want)
+
+
+class TestChunkBudget:
+    def test_largest_chunk_runs_and_one_more_byte_raises(self):
+        """The budget, 2^25 packed bytes, is 2^14 paths of 16384 steps."""
+        rows, n = 1 << 14, 16384
+        assert 0 < fractal.walk_min_nonnegative_fraction(n, rows, seed=1) < 0.02
+        with pytest.raises(ResourceLimitError):
+            fractal.walk_min_nonnegative_fraction(n + 1, rows, seed=1)
+        # Fewer trials than one chunk make a smaller chunk.
+        assert fractal.walk_min_nonnegative_fraction(n + 1, rows - 8, seed=1) > 0
+        with pytest.raises(ResourceLimitError):
+            fractal.walk_distribution((1 << 28) + 1, 1, seed=1)
 
 
 class TestThreadCap:
@@ -441,6 +493,8 @@ class TestThreadCap:
 
         monkeypatch.setattr(fractal, "ThreadPoolExecutor", recorder)
         monkeypatch.setattr(fractal.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(fractal.os, "sched_getaffinity",
+                            lambda pid: set(range(64)), raising=False)
         return sizes
 
     @pytest.mark.parametrize("chunks,threads,used", [(2, 10_000, 2),
@@ -454,8 +508,20 @@ class TestThreadCap:
         assert pools == [used]
         assert got == want
 
+    @pytest.mark.parametrize("cpus,used", [({0}, []), ({0, 3}, [2])])
+    def test_capped_at_cpu_affinity(self, pools, monkeypatch, cpus, used):
+        """64 CPUs, of which the process may run on ``cpus``."""
+        monkeypatch.setattr(fractal.os, "sched_getaffinity", lambda pid: cpus,
+                            raising=False)
+        trials = 3 * fractal._CHUNK_TRIALS
+        got = fractal.walk_distribution(21, trials=trials, seed=4, threads=8)
+        assert pools == used
+        assert got == fractal.walk_distribution(21, trials=trials, seed=4)
+
     @pytest.mark.parametrize("cpus", [1, None])
     def test_capped_at_cpu_count(self, pools, monkeypatch, cpus):
+        """Where the platform has no ``sched_getaffinity``."""
+        monkeypatch.delattr(fractal.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(fractal.os, "cpu_count", lambda: cpus)
         trials = 3 * fractal._CHUNK_TRIALS
         got = fractal.walk_distribution(21, trials=trials, seed=4, threads=8)
