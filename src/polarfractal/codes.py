@@ -3,7 +3,8 @@
 Rows of the n-fold Kronecker power of the 2x2 lower-triangular kernel
 never come from the full matrix: ``kronecker_row`` builds one by the block
 recursion, ``generator_matrix`` fills an index set's rows by the bit-subset
-rule (entry (h, c) is 1 when the bits of c lie within those of h).  Polar
+rule (entry (h, c) is 1 when the bits of c lie within those of h), eight
+columns to a byte, and the matrix stays bit-packed up to its export.  Polar
 sets pick the smallest exact-BEC Bhattacharyya leaves, Reed-Muller sets
 pick rows by Hamming weight, and heavy-set membership runs the exact
 weight-drift walk on the expansion.
@@ -25,8 +26,12 @@ from .polarization import bec_leaf_values
 # Hard cap on materialized matrix cells and single-row length.
 _MAX_MATRIX_CELLS = 1 << 26
 _MAX_ROW_DEPTH = 26
-# Cells per block of generator_matrix's int64 temporaries.
+# Packed bytes per block of generator_matrix's int32 temporaries.
 _MATRIX_BLOCK_CELLS = 1 << 18
+# Entry l is the byte whose bit j (little-endian) is set when the bits of j
+# lie within those of l: one packed byte of a row whose low 3 bits are l.
+_SUBSET_BYTE = np.array([sum(1 << j for j in range(8) if j & ~l == 0)
+                         for l in range(8)], dtype=np.uint8)
 
 _MATRIX_MAGIC = b"KPCM"
 
@@ -54,12 +59,15 @@ class IndexSet:
         if not isinstance(raw, np.ndarray):
             raw = [int(i) for i in raw]
         try:
-            idx = np.sort(np.asarray(raw, dtype=np.int64), axis=None)
+            # flatten copies, so a caller's array is never frozen below.
+            idx = np.asarray(raw, dtype=np.int64).flatten()
         except OverflowError:
             raise ValueError(f"indices out of range for depth {n} "
                              "or for int64") from None
         if not (idx[1:] > idx[:-1]).all():
-            raise ValueError("indices must be distinct")
+            idx.sort()
+            if not (idx[1:] > idx[:-1]).all():
+                raise ValueError("indices must be distinct")
         if idx.size and not (0 <= idx[0] and int(idx[-1]) < (1 << n)):
             raise ValueError(f"indices out of range for depth {n}")
         idx.flags.writeable = False
@@ -75,8 +83,21 @@ class IndexSet:
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
+    """Rows of the depth-n Kronecker power, bit-packed.
+
+    ``packed`` is a (row count, ceil(2^n / 8)) uint8 array, eight columns
+    to a byte with the bits little-endian and the padding bits clear: the
+    body layout of :func:`matrix_to_bytes`.  ``rows`` unpacks it to a
+    (row count, 2^n) 0/1 uint8 array on each read.
+    """
+
     n: int
-    rows: np.ndarray  # (row count, 2**n) uint8
+    packed: np.ndarray
+
+    @property
+    def rows(self) -> np.ndarray:
+        return np.unpackbits(self.packed, axis=-1, count=1 << self.n,
+                             bitorder="little")
 
 
 def _check_depth(n: int) -> None:
@@ -149,14 +170,23 @@ def generator_matrix(index_set: IndexSet) -> GeneratorMatrix:
     if h.size << index_set.n > _MAX_MATRIX_CELLS:
         raise ResourceLimitError(
             f"{h.size} x 2^{index_set.n} matrix exceeds the budget")
-    # Entry (h, c) is 1 exactly when the bits of c lie within those of h;
-    # rows are filled in blocks to bound the int64 temporaries.
-    c = np.arange(1 << index_set.n)
-    rows = np.empty((h.size, c.size), dtype=bool)
-    step = max(1, _MATRIX_BLOCK_CELLS // c.size)
+    packed = np.empty((h.size, max(1, (1 << index_set.n) >> 3)),
+                      dtype=np.uint8)
+    if not h.size:
+        return GeneratorMatrix(n=index_set.n, packed=packed)
+    # Entry (h, c) is 1 exactly when the bits of c lie within those of h.
+    # Columns 8b..8b+7 form byte b: it is the subset pattern of h's low 3
+    # bits when the bits of b lie within h >> 3, and 0 otherwise.  With
+    # rows present the cell cap keeps n <= 26, so byte indices fit in
+    # int32; rows are filled in blocks to bound the int32 temporaries.
+    b = np.arange(packed.shape[1], dtype=np.int32)
+    high, low = (h >> 3).astype(np.int32), _SUBSET_BYTE[h & 7]
+    step = max(1, _MATRIX_BLOCK_CELLS // b.size)
     for s in range(0, h.size, step):
-        np.equal(c & ~h[s:s + step, None], 0, out=rows[s:s + step])
-    return GeneratorMatrix(n=index_set.n, rows=rows.view(np.uint8))
+        block = packed[s:s + step]
+        np.equal(b & ~high[s:s + step, None], 0, out=block.view(bool))
+        block *= low[s:s + step, None]
+    return GeneratorMatrix(n=index_set.n, packed=packed)
 
 
 def _expansion_is_heavy(spec: ExpansionSpec, rho: Fraction) -> bool:
@@ -205,8 +235,8 @@ def heavy_membership(x: Fraction | int | str, rho: Fraction | int | str) -> bool
 
 def matrix_to_text(gm: GeneratorMatrix) -> str:
     """One '0'/'1' row per line; a matrix without rows gives one newline."""
-    buf = np.empty((gm.rows.shape[0], gm.rows.shape[1] + 1), dtype=np.uint8)
-    buf[:, :-1] = gm.rows + ord("0")
+    buf = np.empty((gm.packed.shape[0], (1 << gm.n) + 1), dtype=np.uint8)
+    np.add(gm.rows, ord("0"), out=buf[:, :-1])
     buf[:, -1] = ord("\n")
     return buf.tobytes().decode("ascii") or "\n"
 
@@ -214,9 +244,9 @@ def matrix_to_text(gm: GeneratorMatrix) -> str:
 def matrix_to_bytes(gm: GeneratorMatrix) -> bytes:
     """Binary export: magic "KPCM", u32 depth, u32 row count, then rows
     packed as little-endian bit blocks."""
-    header = _MATRIX_MAGIC + struct.pack("<II", gm.n, gm.rows.shape[0])
-    packed = np.packbits(gm.rows, axis=-1, bitorder="little").tobytes()
-    return header + packed
+    header = _MATRIX_MAGIC + struct.pack("<II", gm.n, gm.packed.shape[0])
+    # join reads the array's buffer directly: one copy of the body.
+    return b"".join((header, np.ascontiguousarray(gm.packed)))
 
 
 def matrix_from_bytes(blob: bytes) -> GeneratorMatrix:
@@ -229,18 +259,21 @@ def matrix_from_bytes(blob: bytes) -> GeneratorMatrix:
     body = np.frombuffer(blob[12:], dtype=np.uint8)
     if body.size != count * bytes_per_row:
         raise ValueError("truncated matrix payload")
-    rows = np.unpackbits(body.reshape(count, bytes_per_row), axis=-1,
-                         bitorder="little")[:, :width]
-    return GeneratorMatrix(n=n, rows=rows)
+    # The mask copies the body and clears the padding bits of rows
+    # narrower than a byte (n < 3).
+    pad_mask = np.uint8((1 << min(width, 8)) - 1)
+    return GeneratorMatrix(n=n, packed=body.reshape(count, bytes_per_row)
+                           & pad_mask)
 
 
 def _decimal_list(values: np.ndarray, head: str, sep: str, tail: str) -> str:
     """``head + sep.join(map(str, values)) + tail`` for a sorted array of
     non-negative int64 values.
 
-    The values split into runs of equal digit count; each run fills
-    fixed-width rows of digits and separator in one byte buffer, one digit
-    column at a time, and the buffer is decoded once.
+    The values split into runs of equal digit count.  Each run computes
+    its digits into a contiguous (digit, value) array, in uint32 when the
+    values fit, then copies it transposed into fixed-width rows of digits
+    and separator in one byte buffer, which is decoded once.
     """
     head, sep, tail = (t.encode("ascii") for t in (head, sep, tail))
     cuts = [0, *np.searchsorted(values, _POW10).tolist(), values.size]
@@ -255,12 +288,17 @@ def _decimal_list(values: np.ndarray, head: str, sep: str, tail: str) -> str:
         rows = buf[pos:pos + (b - a) * (d + len(sep))].reshape(b - a, -1)
         pos += rows.size
         rows[:, d:] = np.frombuffer(sep, dtype=np.uint8)
-        v = values[a:b]
+        # Values of at most 9 digits are below 10^9 < 2^32.
+        v = values[a:b].astype(np.uint32 if d <= 9 else np.int64,
+                               copy=False)
+        digits = np.empty((d, b - a), dtype=np.uint8)
         for col in range(d - 1, 0, -1):
             q = v // 10
-            rows[:, col] = v - 10 * q + ord("0")
+            np.subtract(v, 10 * q, out=digits[col], casting="unsafe")
             v = q
-        rows[:, 0] = v + ord("0")
+        digits[0] = v
+        digits += ord("0")
+        rows[:, :d] = digits.T
     # The tail overwrites the separator after the last value.
     end = pos - (len(sep) if values.size else 0)
     buf[end:end + len(tail)] = np.frombuffer(tail, dtype=np.uint8)

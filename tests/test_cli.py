@@ -381,9 +381,16 @@ GOLDEN_STDOUT = {
         "7542e7463fcefc32fdf91304a3d8c384d9b2a659e16edd467fec5be79daba416",
     "construct rm --n 8 --r 3 --matrix-format binary --matrix-out":
         "6eb76576aa413d39799cffacda761b934a556a28313ce99784acbbf9a51533b5",
+    "construct polar --eps 0.5 --n 9 --k 200 --matrix-out":
+        "8cfb0415a0150581264cd10980707be55cc0526f9957aef24fe141e5f56683c4",
 }
-GOLDEN_MATRIX_FILE = \
-    "5026599aad8c115d3922b9ba4e57d6336100df91f8be1ce66b6b5f7b1d87a0c2"
+# sha256 of the file each `--matrix-out` command above writes.
+GOLDEN_MATRIX_FILES = {
+    "construct rm --n 8 --r 3 --matrix-format binary --matrix-out":
+        "5026599aad8c115d3922b9ba4e57d6336100df91f8be1ce66b6b5f7b1d87a0c2",
+    "construct polar --eps 0.5 --n 9 --k 200 --matrix-out":
+        "2d4d036c62a2f70914e56cec610b0dc6a692efefb64a4fe201e22e768c1a9830",
+}
 
 
 def sha256(data):
@@ -391,14 +398,16 @@ def sha256(data):
 
 
 def test_golden_outputs(tmp_path):
-    matrix = tmp_path / "g.kpcm"
+    matrix = tmp_path / "matrix"
     for command, digest in GOLDEN_STDOUT.items():
         argv = command.split()
         if argv[-1] == "--matrix-out":
             argv.append(str(matrix))
         rc, out = run(argv)
         assert (rc, sha256(out.encode())) == (0, digest), command
-    assert sha256(matrix.read_bytes()) == GOLDEN_MATRIX_FILE
+        if command in GOLDEN_MATRIX_FILES:
+            assert sha256(matrix.read_bytes()) == GOLDEN_MATRIX_FILES[command]
+            matrix.unlink()
 
 
 SRC_DIR = os.path.dirname(os.path.dirname(polarfractal.__file__))

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -192,12 +193,20 @@ class TestGeneratorMatrix:
             generator_matrix(IndexSet(n=25, indices=tuple(range(4)), kind="polar"))
 
     def test_rows_match_kronecker_row(self):
+        # kronecker_row is the oracle for the unpacked rows and, through
+        # np.packbits, for the packed bytes, padding bits of n < 3 included.
         for n in range(0, 9):
-            index_set = rm_index_set(n, n)
-            gm = generator_matrix(index_set)
-            assert gm.rows.dtype == np.uint8
-            for h, row in zip(index_set.array.tolist(), gm.rows):
-                assert np.array_equal(row, kronecker_row(n, h)), (n, h)
+            for index_set in (rm_index_set(n, n),
+                              polar_index_set(0.3, n, (1 << n) // 3)):
+                gm = generator_matrix(index_set)
+                want = np.array([kronecker_row(n, h)
+                                 for h in index_set.array.tolist()],
+                                dtype=np.uint8).reshape(-1, 1 << n)
+                assert gm.rows.dtype == np.uint8
+                assert np.array_equal(gm.rows, want), n
+                assert gm.packed.dtype == np.uint8
+                assert np.array_equal(
+                    gm.packed, np.packbits(want, axis=-1, bitorder="little")), n
         # Depth 13 fills its 378 rows in blocks of 32.
         index_set = rm_index_set(3, 13)
         gm = generator_matrix(index_set)
@@ -304,6 +313,13 @@ class TestIndexSetValidation:
         with pytest.raises(ValueError):
             s.array[0] = 1
         assert given.flags.writeable and given.tolist() == [9, 3, 15]
+        # Sorted input is copied, not frozen or shared.
+        given = np.array([3, 9, 15], dtype=np.int64)
+        s = IndexSet(n=4, indices=given, kind="polar")
+        assert given.flags.writeable and not s.array.flags.writeable
+        assert s.array.flags.owndata
+        given[0] = 4
+        assert s.array.tolist() == [3, 9, 15]
         for built in (polar_index_set(0.5, 6, 20), rm_index_set(3, 6)):
             assert not built.array.flags.writeable
             assert type(built.indices) is tuple
@@ -334,6 +350,34 @@ class TestExports:
         assert np.array_equal(back.rows, gm.rows)
         empty = generator_matrix(polar_index_set(0.5, 3, 0))
         assert matrix_from_bytes(matrix_to_bytes(empty)).rows.shape == (0, 8)
+        for index_set in (rm_index_set(0, 0), rm_index_set(1, 1),
+                          rm_index_set(1, 2), rm_index_set(2, 5),
+                          polar_index_set(0.4, 6, 23), rm_index_set(3, 10),
+                          polar_index_set(0.5, 3, 0)):
+            blob = matrix_to_bytes(generator_matrix(index_set))
+            assert matrix_to_bytes(matrix_from_bytes(blob)) == blob
+        # Rows narrower than a byte (n < 3) read back with their padding
+        # bits cleared, so a blob with them set gives the canonical one.
+        for n in range(0, 3):
+            gm = generator_matrix(rm_index_set(n, n))
+            blob = matrix_to_bytes(gm)
+            pad = 0xFF & (0xFF << (1 << n))
+            back = matrix_from_bytes(blob[:12] + bytes(c | pad for c in blob[12:]))
+            assert matrix_to_bytes(back) == blob
+            assert np.array_equal(back.rows, gm.rows)
+
+    def test_binary_export_stays_packed(self):
+        # The 4096 x 8192 matrix of rm(6, 13) packs into 4 MiB; a 0/1 byte
+        # matrix of it would take 32 MiB.
+        index_set = rm_index_set(6, 13)
+        tracemalloc.start()
+        try:
+            blob = matrix_to_bytes(generator_matrix(index_set))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(blob) == 12 + 4096 * 1024
+        assert peak < 16 << 20
 
     def test_binary_header(self):
         gm = generator_matrix(rm_index_set(1, 3))
@@ -370,6 +414,17 @@ class TestDecimalWriter:
         assert index_set_to_json(s) == reference_json(s)
         assert (_decimal_list(s.array, "indices = ", " ", "")
                 == "indices = " + " ".join(map(str, wide)))
+
+    def test_digit_count_and_uint32_edges(self):
+        # Each value alone, so each is a run of its own digit count; the
+        # runs of at most 9 digits take the uint32 path.
+        edges = [10 ** k + e for k in range(1, 19) for e in (-1, 0)]
+        edges += [(1 << 32) - 1, 1 << 32, (1 << 63) - 1]
+        for values in [[v] for v in edges] + [sorted(edges)]:
+            array = np.array(values, dtype=np.int64)
+            for sep in (" ", ", "):
+                assert (_decimal_list(array, "[", sep, "]")
+                        == "[" + sep.join(map(str, values)) + "]")
 
     def test_empty_single_and_full_sets(self):
         sets = [IndexSet(n=0, indices=(), kind="polar"),
