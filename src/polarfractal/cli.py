@@ -194,12 +194,10 @@ def _cmd_construct(args, out) -> int:
         index_set = codes.rm_index_set(args.r, args.n)
     if args.matrix_out:
         gm = codes.generator_matrix(index_set)
-        if args.matrix_format == "text":
-            with open(args.matrix_out, "w") as fh:
-                fh.write(codes.matrix_to_text(gm))
-        else:
-            with open(args.matrix_out, "wb") as fh:
-                fh.write(codes.matrix_to_bytes(gm))
+        export = (codes.matrix_to_text if args.matrix_format == "text"
+                  else codes.matrix_to_bytes)
+        with open(args.matrix_out, "wb") as fh:
+            fh.write(export(gm))
     if args.json:
         _print(out, codes.index_set_to_json(index_set))
     else:

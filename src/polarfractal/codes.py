@@ -233,12 +233,13 @@ def heavy_membership(x: Fraction | int | str, rho: Fraction | int | str) -> bool
     return any(_expansion_is_heavy(spec, rho) for spec in specs)
 
 
-def matrix_to_text(gm: GeneratorMatrix) -> str:
-    """One '0'/'1' row per line; a matrix without rows gives one newline."""
+def matrix_to_text(gm: GeneratorMatrix) -> bytes:
+    """One '0'/'1' row per line, as ASCII bytes; a matrix without rows
+    gives one newline."""
     buf = np.empty((gm.packed.shape[0], (1 << gm.n) + 1), dtype=np.uint8)
     np.add(gm.rows, ord("0"), out=buf[:, :-1])
     buf[:, -1] = ord("\n")
-    return buf.tobytes().decode("ascii") or "\n"
+    return buf.tobytes() or b"\n"
 
 
 def matrix_to_bytes(gm: GeneratorMatrix) -> bytes:

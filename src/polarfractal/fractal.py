@@ -30,8 +30,8 @@ from .expansions import is_dyadic
 _CHUNK_TRIALS = 1 << 14
 
 # Largest chunk of packed paths (rows x bytes per row) one draw may make:
-# 16384 paths of 16384 steps.  The crossing fold allocates about 16 times
-# the chunk it folds, so one worker holds about 0.5 GiB at this budget.
+# 16384 paths of 16384 steps.  The folds read a chunk 64 steps at a time,
+# so one worker holds at most about 45 MiB at this budget.
 _MAX_CHUNK_BYTES = 1 << 25
 
 _MAX_EXHAUSTIVE_WALK = 25
@@ -357,16 +357,19 @@ def _crossing_counts(packed: np.ndarray, n: int) -> np.ndarray:
     """Histogram (n//2 + 2 bins) of the zero crossings of the walks given
     by the first n bits of the packed rows, 1 = up.  A walk is 0 only
     after 2k steps, k of them up, and then crosses at step 2k + 1 exactly
-    when that step repeats step 2k."""
-    bits = _step_major(packed, n)
+    when that step repeats step 2k.  Bits are unpacked 64 steps (and the
+    one step more that the last pair reads) at a time."""
     half = (n - 1) // 2
-    ups = bits[0:2 * half:2] + bits[1:2 * half:2]
-    repeat = bits[2:2 * half + 1:2] == bits[1:2 * half:2]
     ones, crossings = np.zeros((2, len(packed)),
                                dtype=np.int16 if n < 1 << 15 else np.int64)
-    for k in range(half):
-        ones += ups[k]
-        crossings += (ones == k + 1) & repeat[k]
+    for start in range(0, 2 * half, 64):
+        count = min(64, 2 * half - start)
+        bits = _step_major(packed[:, start // 8:start // 8 + 9], count + 1)
+        ups = bits[0:count:2] + bits[1:count:2]
+        repeat = bits[2:count + 1:2] == bits[1:count:2]
+        for k, (up, rep) in enumerate(zip(ups, repeat), start // 2 + 1):
+            ones += up
+            crossings += (ones == k) & rep
     return np.bincount(crossings, minlength=n // 2 + 2)
 
 

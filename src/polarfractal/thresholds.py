@@ -30,6 +30,10 @@ _THRESHOLD_CACHE_SIZE = 1 << 12
 
 # Rows of the prefix estimator run together; they are independent.
 _ROW_BLOCK = 1 << 12
+# Prefix bits (2^m cells x depth) of one threshold_curve, fewer cells than
+# ``_ROW_BLOCK`` counted as a block: a halving step of a few rows still
+# costs a good part of a block's, and their orbits can run the full depth.
+_MAX_PLOT_BITS = 1 << 24
 
 _STABILITY_PROBE = 1e-6
 _ROOT_MERGE_TOL = 1e-9
@@ -238,45 +242,32 @@ def threshold_estimate_batch(prefixes: np.ndarray) -> np.ndarray:
     gives the threshold of the rational with that expansion period: a
     plotting approximation, as the paper's thresholds need infinite sequences.
 
-    Each row takes 60 halvings of [0, 1], on the sign of p(mid) - mid for
-    its prefix map p, so the absolute resolution is 2^-60.  A midpoint
-    with p(mid) == mid, or that equals an end of its bracket, is the
-    answer for its row.  The bisection assumes one interior root; a
-    prefix with several returns one of them and is not flagged.  Rows
-    are independent, so they run in blocks of ``_ROW_BLOCK``, which
-    bounds the memory of the per-bit constants.
+    Each row takes up to 60 halvings of [0, 1], on the sign of p(mid) - mid
+    for its prefix map p, so the absolute resolution is 2^-60.  A midpoint
+    with p(mid) == mid, or equal to an end of its bracket, moves no bracket
+    again, so a block stops once a halving moves none.  The bisection
+    assumes one interior root; a prefix with several returns one of them
+    and is not flagged.  Rows are independent, so they run in blocks of
+    ``_ROW_BLOCK``, which bounds the memory of the per-bit constants.
     """
     rows = np.asarray(prefixes)
     if (rows.ndim != 2 or rows.shape[1] == 0 or rows.dtype.kind not in "biu"
             or ((rows != 0) & (rows != 1)).any()):
         raise ValueError("prefixes must be a non-empty 2-d matrix of 0/1 "
                          "integers or bools")
-    estimates = np.full(rows.shape[0], np.nan)
+    estimates = np.empty(rows.shape[0])
     for first in range(0, rows.shape[0], _ROW_BLOCK):
         steps = _step_constants(rows[first:first + _ROW_BLOCK].T)
-        out = estimates[first:first + _ROW_BLOCK]
-        lo = np.zeros(out.size)
-        hi = np.ones(out.size)
-        active = np.arange(out.size)
-        live = steps
+        lo, hi = np.zeros(steps.shape[1]), np.ones(steps.shape[1])
         for _ in range(60):
-            mid = 0.5 * (lo[active] + hi[active])
-            # A midpoint equal to an end of its bracket stays the midpoint
-            # whichever side it falls on, so it is already the answer.
-            stuck = (mid == lo[active]) | (mid == hi[active])
-            out[active[stuck]] = mid[stuck]
-            active, mid = active[~stuck], mid[~stuck]
-            if live.shape[1] != active.size:  # rows only ever leave
-                live = np.take(steps, active, axis=1)
-            d = _apply_rows(mid, live) - mid
-            root = d == 0.0
-            out[active[root]] = mid[root]
-            lo[active[d < 0]] = mid[d < 0]
-            hi[active[d > 0]] = mid[d > 0]
-            active = active[~root]
-            if active.size == 0:
+            mid = 0.5 * (lo + hi)
+            d = _apply_rows(mid, steps) - mid
+            up, down = (d < 0) & (mid != lo), (d > 0) & (mid != hi)
+            if not (up.any() or down.any()):
                 break
-        out[active] = 0.5 * (lo[active] + hi[active])
+            np.copyto(lo, mid, where=up)
+            np.copyto(hi, mid, where=down)
+        estimates[first:first + _ROW_BLOCK] = 0.5 * (lo + hi)
     return estimates
 
 
@@ -289,7 +280,8 @@ def threshold_curve(m: int, depth: int, *,
     dyadic is hit) continued by the balanced alternating tail, ``depth``
     bits in all; complementary cells then get exactly complementary bit
     sequences, which keeps the curve symmetric.  ``include_dyadics`` adds
-    the dyadic grid spikes (j/2^m, 1.0).
+    the dyadic grid spikes (j/2^m, 1.0).  A depth past ``_MAX_PLOT_BITS``
+    prefix bits raises ``ResourceLimitError`` before any allocation.
     """
     if m < 1:
         raise ValueError("grid exponent must be >= 1")
@@ -297,6 +289,10 @@ def threshold_curve(m: int, depth: int, *,
         raise ResourceLimitError("grid exponent capped at 16")
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    cap = _MAX_PLOT_BITS // max(1 << m, _ROW_BLOCK)
+    if depth > cap:
+        raise ResourceLimitError(
+            f"depth {depth} exceeds {cap}, the cap at grid exponent {m}")
     j = np.arange(1 << m)
     prefixes = np.empty((j.size, depth), dtype=np.uint8)
     cell = min(m, depth)

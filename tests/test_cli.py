@@ -81,6 +81,25 @@ class TestPlotFractal:
         rc, _ = run(["plot-fractal", "-m", "17"])
         assert rc == 3
 
+    @pytest.mark.parametrize("m,depth,cap", [
+        ("16", "257", 256), ("16", "100000", 256), ("12", "4097", 4096),
+        ("1", "4097", 4096), ("1", "50000000", 4096)])
+    def test_prefix_budget_exits_3_before_allocating(self, m, depth, cap,
+                                                     capsys):
+        """A depth above 2^24 prefix bits over max(2^m, 2^12) cells exits 3
+        before the prefix matrix exists, so the run stays under 1 MiB."""
+        tracemalloc.start()
+        try:
+            rc, out = run(["plot-fractal", "-m", m, "--depth", depth])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rc, out) == (3, "")
+        assert capsys.readouterr().err == (
+            f"resource limit: depth {depth} exceeds {cap}, the cap at grid "
+            f"exponent {m}\n")
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("argv", [["-m", "0"], ["-m", "-2"],
                                       ["-m", "3", "--depth", "0"],
                                       ["-m", "3", "--iter-budget", "-5"]])
@@ -367,6 +386,8 @@ GOLDEN_STDOUT = {
         "6f22afe0da6b93f1741d619b25bcba272fb50b234eb1b31264b72a43332ba30d",
     "plot-fractal -m 13":
         "dffa21e338b271d46d5ac605ef1a819841396474a57a244ad44b76d80f9b0e2d",
+    "plot-fractal -m 14 --depth 60":
+        "935bd44fc4461e25b04d57a7b883547232dde47ff555af9d3a2128f588eeb2f4",
     "walk --n 8 --exhaustive":
         "b9d6ea7656249d3599d91389100c9ffb13e42ecd7381a15c07ff3c4af77d0ba6",
     "selfsim --n 2 --samples 10 --seed 13":

@@ -336,12 +336,12 @@ class TestExports:
                           polar_index_set(0.4, 6, 23), polar_index_set(0.4, 6, 0),
                           IndexSet(n=3, indices=(), kind="polar")):
             gm = generator_matrix(index_set)
-            assert matrix_to_text(gm) == per_cell_text(gm)
-        assert matrix_to_text(generator_matrix(polar_index_set(0.5, 3, 0))) == "\n"
+            assert matrix_to_text(gm) == per_cell_text(gm).encode()
+        assert matrix_to_text(generator_matrix(polar_index_set(0.5, 3, 0))) == b"\n"
 
     def test_text_format(self):
         gm = generator_matrix(rm_index_set(1, 2))
-        assert matrix_to_text(gm) == "1100\n1010\n1111\n"
+        assert matrix_to_text(gm) == b"1100\n1010\n1111\n"
 
     def test_binary_round_trip(self):
         gm = generator_matrix(rm_index_set(2, 4))
@@ -378,6 +378,19 @@ class TestExports:
             tracemalloc.stop()
         assert len(blob) == 12 + 4096 * 1024
         assert peak < 16 << 20
+
+    def test_text_export_holds_text_twice(self):
+        # 1536 rows of 2^11 bits: 3 MiB of text, held once in the row
+        # buffer and once in the returned bytes.
+        gm = generator_matrix(polar_index_set(0.4, 11, 1536))
+        tracemalloc.start()
+        try:
+            text = matrix_to_text(gm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text) == 1536 * 2049
+        assert peak < 2.5 * len(text)
 
     def test_binary_header(self):
         gm = generator_matrix(rm_index_set(1, 3))

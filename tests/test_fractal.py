@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -392,7 +393,7 @@ def sign_fill_crossings(packed, n):
 
 
 class TestPackedFolds:
-    @pytest.mark.parametrize("n", HORIZONS)
+    @pytest.mark.parametrize("n", HORIZONS + [66, 127, 128, 129, 1000])
     def test_crossings_match_sign_fill(self, n):
         packed = packed_rows(n, 2000, n)
         want = sign_fill_crossings(packed, n)
@@ -467,6 +468,19 @@ class TestChunkStream:
 
 
 class TestChunkBudget:
+    def test_crossing_fold_stays_packed(self):
+        # One 16384-path chunk of 4096 steps is 8 MiB packed; unpacked at
+        # once, its steps alone would take 64 MiB.
+        packed = packed_rows(4096, 1 << 14, 4096)
+        tracemalloc.start()
+        try:
+            counts = fractal._crossing_counts(packed, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.sum() == 1 << 14
+        assert peak < 16 << 20
+
     def test_largest_chunk_runs_and_one_more_byte_raises(self):
         """The budget, 2^25 packed bytes, is 2^14 paths of 16384 steps."""
         rows, n = 1 << 14, 16384

@@ -421,26 +421,58 @@ class TestThresholdCurve:
         with pytest.raises(ResourceLimitError):
             threshold_curve(17, 40)
 
+    def test_prefix_bit_budget(self, monkeypatch):
+        # The check fires before the 2^m x depth prefix matrix exists.
+        for m, depth in ((16, 257), (12, 4097), (1, 4097), (16, 10 ** 12)):
+            with pytest.raises(ResourceLimitError, match="the cap at grid"):
+                threshold_curve(m, depth)
+        # Grids below one row block are charged as a full block.
+        monkeypatch.setattr(thresholds, "_MAX_PLOT_BITS", 1 << 16)
+        for m, cap in ((4, 16), (12, 16), (13, 8)):
+            assert len(threshold_curve(m, cap)) == 1 << m
+            with pytest.raises(ResourceLimitError):
+                threshold_curve(m, cap + 1)
 
-@pytest.mark.parametrize("m", [11, 13])
-def test_retired_brackets_match_unretired_loop(m, monkeypatch):
-    # Rows leave the bisection once pinned or once their midpoint equals
-    # an end of the bracket; the prefix map then runs on fewer rows than
-    # the full 60 halvings of every row, with the same results.
-    prefixes = plot_prefixes(m, 40)
-    want, _ = full_budget_estimate(prefixes)
-    mapped = []
+
+def counted_apply_rows(monkeypatch):
+    """The row count of every later ``_apply_rows`` call, in order."""
+    sizes = []
     apply_rows = thresholds._apply_rows
 
     def counting(v, steps):
-        mapped.append(v.size)
+        sizes.append(v.size)
         return apply_rows(v, steps)
 
     monkeypatch.setattr(thresholds, "_apply_rows", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("m", [11, 13])
+def test_retired_brackets_match_unretired_loop(m, monkeypatch):
+    # Every row of a block is bisected in lockstep, also after its bracket
+    # stopped moving (a pinned midpoint, or one equal to an end of its
+    # bracket), with the results of the full 60 halvings of every row.
+    prefixes = plot_prefixes(m, 40)
+    want, _ = full_budget_estimate(prefixes)
+    mapped = counted_apply_rows(monkeypatch)
     got = threshold_estimate_batch(prefixes)
     assert got.shape == (1 << m,)
     assert hexes(got) == hexes(want)
-    assert sum(mapped) < 60 * prefixes.shape[0]
+    block = min(1 << m, thresholds._ROW_BLOCK)
+    assert set(mapped) == {block}
+    assert len(mapped) <= 60 * (1 << m) // block
+
+
+@pytest.mark.parametrize("x", ["1/3", "1/5"])
+def test_block_stops_once_no_bracket_moves(x, monkeypatch):
+    # A 2000-bit prefix ends well within 60 halvings, on a midpoint that
+    # p fixes (1/3) or that equals an end of its bracket (1/5); every
+    # later halving would map all 2000 bits again.
+    row = np.array([real_to_expansion(Fraction(x)).prefix(2000)])
+    want, _ = full_budget_estimate(row)
+    calls = counted_apply_rows(monkeypatch)
+    assert hexes(threshold_estimate_batch(row)) == hexes(want)
+    assert len(calls) < 60
 
 
 @pytest.mark.parametrize("width", [1, 2, 7, 57, 200])
