@@ -15,9 +15,8 @@ from .fractal import (HeavyImplicationViolation, MeasureEstimate,
                       walk_distribution, walk_min_nonnegative_fraction)
 from .polarization import (apply_path, apply_path_array, bec_leaf_counts,
                            bec_leaf_values)
-from .thresholds import (Certainty, FixedPoint, FixedPointReport, Stability,
-                         ThresholdResult, period_fixed_points,
-                         threshold_curve, threshold_estimate_batch,
-                         threshold_of_rational)
+from .thresholds import (Certainty, FixedPointReport, ThresholdResult,
+                         period_fixed_points, threshold_curve,
+                         threshold_estimate_batch, threshold_of_rational)
 
 __version__ = "0.1.0"

@@ -88,20 +88,6 @@ class ExpansionSpec:
         object.__setattr__(self, "preamble", preamble)
         object.__setattr__(self, "period", period)
 
-    def bit_at(self, m: int) -> int:
-        """Digit b_m of the expansion, positions starting at 1."""
-        if m < 1:
-            raise ValueError("positions start at 1")
-        if m <= len(self.preamble):
-            return self.preamble[m - 1]
-        if not self.period:
-            return 0
-        return self.period[(m - len(self.preamble) - 1) % len(self.period)]
-
-    def prefix(self, n: int) -> tuple[int, ...]:
-        """First n digits of the expansion."""
-        return tuple(self.bit_at(m) for m in range(1, n + 1))
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or an exact decimal literal into a Fraction in [0,1]."""

@@ -30,12 +30,11 @@ _THRESHOLD_CACHE_SIZE = 1 << 12
 
 # Rows of the prefix estimator run together; they are independent.
 _ROW_BLOCK = 1 << 12
-# Prefix bits (2^m cells x depth) of one threshold_curve, fewer cells than
+# Prefix bits (rows x bits) of one estimator call, fewer rows than
 # ``_ROW_BLOCK`` counted as a block: a halving step of a few rows still
 # costs a good part of a block's, and their orbits can run the full depth.
 _MAX_PLOT_BITS = 1 << 24
 
-_STABILITY_PROBE = 1e-6
 _ROOT_MERGE_TOL = 1e-9
 
 # Interior points of the uniform 4096-step scan grid, shared read-only.
@@ -43,31 +42,17 @@ _SCAN_GRID = np.linspace(0.0, 1.0, (1 << 12) + 1)[1:-1]
 _SCAN_GRID.setflags(write=False)
 
 
-class Stability(Enum):
-    ATTRACTING = "attracting"
-    REPELLING = "repelling"
-    NEUTRAL = "neutral"
-
-
 class Certainty(Enum):
     EXACT_BEC = "exact-bec"
 
 
 @dataclass(frozen=True)
-class FixedPoint:
-    location: float
-    stability: Stability
-
-
-@dataclass(frozen=True)
 class FixedPointReport:
-    period: tuple[int, ...]
-    fixed_points: tuple[FixedPoint, ...]
-    interior_unique: bool
+    interior: tuple[float, ...]
 
     @property
-    def interior(self) -> tuple[FixedPoint, ...]:
-        return tuple(fp for fp in self.fixed_points if 0.0 < fp.location < 1.0)
+    def interior_unique(self) -> bool:
+        return len(self.interior) == 1
 
 
 @dataclass(frozen=True)
@@ -100,23 +85,22 @@ def _bisect_root(bits: tuple[int, ...], lo: float, hi: float,
 
 
 def period_fixed_points(period: Sequence[int]) -> FixedPointReport:
-    """Locate all fixed points of the period map on [0,1].
+    """Locate the interior fixed points of the period map, in increasing
+    order; the endpoints 0 and 1 are fixed, and attracting, for every
+    non-trivial period (vanishing derivatives).
 
     Interior crossings of p(z) - z are bracketed by sign changes on a
     uniform grid and bisected down to adjacent doubles on the sign of
-    p(z) - z alone (``_bisect_root``); the endpoints 0 and 1 are
-    always attracting for non-trivial periods (vanishing derivatives).
-    Stability of interior points is read off the sign of p(z) - z on
-    either side.  Near-tangential pairs closer than the 1/4096 grid step
-    can be missed.  The edge brackets run down to 1e-300 and up to the
-    largest double below 1.
+    p(z) - z alone (``_bisect_root``).  Near-tangential pairs closer than
+    the 1/4096 grid step can be missed.  The edge brackets run down to
+    1e-300 and up to the largest double below 1.
 
     Every evaluation of p stops once its values are exactly 0.0 or 1.0
     (see ``apply_path``), which is exact because both are fixed by every
     step.  In binary64 the orbit of every grid point, and of every
-    bisection and stability probe, leaves the repelling fixed point and
-    saturates within a few dozen to a few hundred bits, so the cost no
-    longer grows with the full period length.
+    bisection probe, leaves the repelling fixed point and saturates
+    within a few dozen to a few hundred bits, so the cost no longer grows
+    with the full period length.
     """
     period = _as_bits(period)
     if not period or 0 not in period or 1 not in period:
@@ -147,23 +131,7 @@ def period_fixed_points(period: Sequence[int]) -> FixedPointReport:
         if not merged or r - merged[-1] > _ROOT_MERGE_TOL:
             merged.append(r)
 
-    interior = [FixedPoint(r, _classify_stability(r, period)) for r in merged]
-    points = (FixedPoint(0.0, Stability.ATTRACTING), *interior,
-              FixedPoint(1.0, Stability.ATTRACTING))
-    return FixedPointReport(period=period, fixed_points=points,
-                            interior_unique=len(interior) == 1)
-
-
-def _classify_stability(root: float, period: tuple[int, ...]) -> Stability:
-    left = max(root - _STABILITY_PROBE, 0.5 * root)
-    right = min(root + _STABILITY_PROBE, 0.5 * (1.0 + root))
-    d_left = apply_path(left, period) - left
-    d_right = apply_path(right, period) - right
-    if d_left > 0 and d_right < 0:
-        return Stability.ATTRACTING
-    if d_left < 0 and d_right > 0:
-        return Stability.REPELLING
-    return Stability.NEUTRAL
+    return FixedPointReport(tuple(merged))
 
 
 def _solve_preamble(preamble: tuple[int, ...], zeta: float) -> float:
@@ -184,7 +152,7 @@ def _threshold_cached(x: Fraction) -> ThresholdResult:
     spec = real_to_expansion(x)
     report = period_fixed_points(spec.period)
     multiplicity = not report.interior_unique
-    zeta = report.interior[-1].location
+    zeta = report.interior[-1]
     if spec.preamble:
         theta = _solve_preamble(spec.preamble, zeta)
     else:
@@ -236,6 +204,11 @@ def _step_constants(bits: np.ndarray) -> np.ndarray:
     return d.astype(np.float64)
 
 
+def _max_prefix_bits(rows: int) -> int:
+    """Longest prefix the estimator takes in a batch of ``rows`` rows."""
+    return _MAX_PLOT_BITS // max(rows, _ROW_BLOCK)
+
+
 def threshold_estimate_batch(prefixes: np.ndarray) -> np.ndarray:
     """Threshold estimates for the rows of a 0/1 matrix of prefixes,
     bisected in lockstep.  Each prefix is taken to repeat forever, which
@@ -249,8 +222,16 @@ def threshold_estimate_batch(prefixes: np.ndarray) -> np.ndarray:
     assumes one interior root; a prefix with several returns one of them
     and is not flagged.  Rows are independent, so they run in blocks of
     ``_ROW_BLOCK``, which bounds the memory of the per-bit constants.
+    Prefixes longer than ``_max_prefix_bits`` raise ``ResourceLimitError``.
     """
     rows = np.asarray(prefixes)
+    # Before the 0/1 check, whose temporaries are the size of the matrix.
+    if rows.ndim == 2:
+        cap = _max_prefix_bits(rows.shape[0])
+        if rows.shape[1] > cap:
+            raise ResourceLimitError(f"prefixes of {rows.shape[1]} bits "
+                                     f"exceed {cap}, the cap at "
+                                     f"{rows.shape[0]} rows")
     if (rows.ndim != 2 or rows.shape[1] == 0 or rows.dtype.kind not in "biu"
             or ((rows != 0) & (rows != 1)).any()):
         raise ValueError("prefixes must be a non-empty 2-d matrix of 0/1 "
@@ -289,7 +270,7 @@ def threshold_curve(m: int, depth: int, *,
         raise ResourceLimitError("grid exponent capped at 16")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    cap = _MAX_PLOT_BITS // max(1 << m, _ROW_BLOCK)
+    cap = _max_prefix_bits(1 << m)
     if depth > cap:
         raise ResourceLimitError(
             f"depth {depth} exceeds {cap}, the cap at grid exponent {m}")

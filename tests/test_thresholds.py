@@ -1,6 +1,7 @@
 import decimal
 import math
 import random
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -12,10 +13,9 @@ from polarfractal.codes import polar_index_set
 from polarfractal.errors import ResourceLimitError, TrivialPeriodError
 from polarfractal.expansions import Variant, is_dyadic, real_to_expansion
 from polarfractal.polarization import apply_path
-from polarfractal.thresholds import (Certainty, FixedPoint, FixedPointReport,
-                                     Stability, _bisect_root,
-                                     _classify_stability,
-                                     period_fixed_points, threshold_curve,
+from polarfractal.thresholds import (Certainty, FixedPointReport,
+                                     _bisect_root, period_fixed_points,
+                                     threshold_curve,
                                      threshold_estimate_batch,
                                      threshold_of_rational)
 
@@ -26,6 +26,11 @@ def estimate(prefix, **kwargs):
     """A one-row ``threshold_estimate_batch`` call."""
     row = np.array([prefix], dtype=np.uint8)
     return float(threshold_estimate_batch(row, **kwargs)[0])
+
+
+def digits(spec, n):
+    """First n digits of an expansion; a terminating one goes on in 0s."""
+    return (spec.preamble + (spec.period or (0,)) * n)[:n]
 
 
 def bisect_oracle(f, lo, hi, iters=200):
@@ -45,32 +50,40 @@ def bisect_oracle(f, lo, hi, iters=200):
 class TestPeriodFixedPoints:
     def test_golden_ratio_period(self):
         report = period_fixed_points([1, 0])
-        locations = [fp.location for fp in report.fixed_points]
-        assert locations[0] == 0.0 and locations[-1] == 1.0
-        assert locations == sorted(locations)
         assert report.interior_unique
-        interior = report.interior[0]
-        assert interior.location == pytest.approx(GOLDEN, abs=1e-10)
-        assert interior.stability is Stability.REPELLING
+        assert report.interior[0] == pytest.approx(GOLDEN, abs=1e-10)
 
-    def test_endpoints_attracting(self):
-        report = period_fixed_points([1, 0])
-        assert report.fixed_points[0].stability is Stability.ATTRACTING
-        assert report.fixed_points[-1].stability is Stability.ATTRACTING
+    def test_one_repelling_root_on_short_periods(self):
+        # Every period of 2 to 8 bits holding both bits has one interior
+        # root r, and exact Fraction evaluation of p at lo and hi, at most
+        # 2^-12 from r, brackets it as repelling: p(lo) < lo, p(hi) > hi.
+        count = 0
+        for k in range(2, 9):
+            for v in range(1, (1 << k) - 1):
+                period = [(v >> (k - 1 - i)) & 1 for i in range(k)]
+                report = period_fixed_points(period)
+                assert report.interior_unique, period
+                r = Fraction(report.interior[0])
+                lo = max(r - Fraction(1, 4096), r / 2)
+                hi = min(r + Fraction(1, 4096), (1 + r) / 2)
+                assert decimal_path(lo, period) < lo, period
+                assert decimal_path(hi, period) > hi, period
+                count += 1
+        assert count == 494
 
     def test_mirrored_period(self):
         # Interior fixed point of (2z - z^2)^2 = z, located independently.
         expected = bisect_oracle(lambda z: (2 * z - z * z) ** 2 - z, 0.2, 0.5)
         report = period_fixed_points([0, 1])
-        assert report.interior[0].location == pytest.approx(expected, abs=1e-12)
-        assert report.interior[0].location == pytest.approx(0.3819660113, abs=1e-9)
+        assert report.interior[0] == pytest.approx(expected, abs=1e-12)
+        assert report.interior[0] == pytest.approx(0.3819660113, abs=1e-9)
 
     def test_period_110(self):
         # p(z) = 2 z^4 - z^8 from composing square, square, worse.
         expected = bisect_oracle(lambda z: 2 * z**4 - z**8 - z, 0.85, 0.99)
         report = period_fixed_points([1, 1, 0])
         assert report.interior_unique
-        zeta = report.interior[0].location
+        zeta = report.interior[0]
         assert 0.90 < zeta < 0.95
         assert zeta == pytest.approx(expected, abs=1e-12)
 
@@ -82,8 +95,8 @@ class TestPeriodFixedPoints:
             if 0 not in period or 1 not in period:
                 continue
             report = period_fixed_points(period)
-            for fp in report.interior:
-                residual = abs(apply_path(fp.location, period) - fp.location)
+            for r in report.interior:
+                residual = abs(apply_path(r, period) - r)
                 assert residual <= 1e-10
 
     @pytest.mark.parametrize("x", [Fraction(6394, 30375), Fraction(1, 100003),
@@ -102,7 +115,6 @@ class TestPeriodFixedPoints:
         period = (1, 1, 0, 1, 0)
         got = period_fixed_points(np.array(period, dtype=dtype))
         assert got == period_fixed_points(period)
-        assert got.period == period
 
     @pytest.mark.parametrize("bad", ["0101", [1.0, 0.0], np.array([1.0, 0.0]),
                                      [1, 0, 2]])
@@ -137,10 +149,7 @@ def scalar_scan_report(period, resolution=4096):
     for r in sorted(roots):
         if not merged or r - merged[-1] > 1e-9:
             merged.append(r)
-    interior = [FixedPoint(r, _classify_stability(r, period)) for r in merged]
-    points = (FixedPoint(0.0, Stability.ATTRACTING), *interior,
-              FixedPoint(1.0, Stability.ATTRACTING))
-    return FixedPointReport(period, points, len(interior) == 1)
+    return FixedPointReport(tuple(merged))
 
 
 class TestThresholdOfRational:
@@ -168,7 +177,7 @@ class TestThresholdOfRational:
     def test_preamble_pullback(self):
         # theta(1/6) solves g0(eps) = zeta with zeta the interior point of
         # the 01-period map; invert by hand: eps = 1 - sqrt(1 - zeta).
-        zeta = period_fixed_points([0, 1]).interior[0].location
+        zeta = period_fixed_points([0, 1]).interior[0]
         expected = 1.0 - math.sqrt(1.0 - zeta)
         assert threshold_of_rational(Fraction(1, 6)).theta == pytest.approx(
             expected, abs=1e-12)
@@ -195,7 +204,7 @@ class TestThresholdOfRational:
             spec = real_to_expansion(x)
             if not spec.preamble or not spec.period:
                 continue
-            zeta = period_fixed_points(spec.period).interior[-1].location
+            zeta = period_fixed_points(spec.period).interior[-1]
             want = decimal_preimage(spec.preamble, Decimal(zeta))
             theta = threshold_of_rational(x).theta
             tol = 3 * len(spec.preamble) * Decimal(math.ulp(float(want)))
@@ -313,7 +322,7 @@ class TestThresholdEstimate:
         assert estimate([0]) == pytest.approx(0.0, abs=1e-6)
 
     def test_two_thirds_prefix(self):
-        prefix = real_to_expansion(Fraction(2, 3)).prefix(40)
+        prefix = digits(real_to_expansion(Fraction(2, 3)), 40)
         assert estimate(prefix) == pytest.approx(GOLDEN, abs=1e-4)
 
     def test_estimate_matches_exact_on_corpus(self):
@@ -326,7 +335,7 @@ class TestThresholdEstimate:
             x = Fraction(p, q)
             if is_dyadic(x):
                 continue
-            prefixes.append(real_to_expansion(x).prefix(40))
+            prefixes.append(digits(real_to_expansion(x), 40))
             exact.append(threshold_of_rational(x).theta)
         estimates = threshold_estimate_batch(np.array(prefixes, dtype=np.uint8))
         assert np.abs(estimates - np.array(exact)).max() <= 1e-3
@@ -395,8 +404,8 @@ class TestThresholdCurve:
         assert estimate(row).hex() == want[0].hex()
 
     @pytest.mark.parametrize("prefix", [
-        real_to_expansion(Fraction(1, 9)).prefix(24),
-        real_to_expansion(Fraction(5, 7)).prefix(200),
+        digits(real_to_expansion(Fraction(1, 9)), 24),
+        digits(real_to_expansion(Fraction(5, 7)), 200),
         [1, 0] * 150, [0, 1, 1], [1, 0, 0, 0, 1, 1, 0, 1] * 40])
     def test_scalar_matches_full_budget(self, prefix):
         want, _ = full_budget_estimate(np.array([prefix], dtype=np.uint8))
@@ -468,7 +477,7 @@ def test_block_stops_once_no_bracket_moves(x, monkeypatch):
     # A 2000-bit prefix ends well within 60 halvings, on a midpoint that
     # p fixes (1/3) or that equals an end of its bracket (1/5); every
     # later halving would map all 2000 bits again.
-    row = np.array([real_to_expansion(Fraction(x)).prefix(2000)])
+    row = np.array([digits(real_to_expansion(Fraction(x)), 2000)])
     want, _ = full_budget_estimate(row)
     calls = counted_apply_rows(monkeypatch)
     assert hexes(threshold_estimate_batch(row)) == hexes(want)
@@ -502,7 +511,8 @@ def test_estimates_of_all_8_bit_periods():
 
 
 def decimal_path(z, bits):
-    """p(z) along ``bits``, one step per bit in the current decimal context."""
+    """p(z) along ``bits``, one step per bit: exact for a Fraction, in the
+    current decimal context for a Decimal."""
     for b in bits:
         z = z * z if b else z * (2 - z)
     return z
@@ -577,11 +587,27 @@ class TestEstimatorInput:
         for same in (rows.astype(bool), rows.astype(np.int64), rows.tolist()):
             assert hexes(threshold_estimate_batch(same)) == hexes(want)
 
+    def test_prefix_bit_budget(self):
+        # One row is charged as a full block: 2^24 bits / 2^12 rows.
+        with pytest.raises(ResourceLimitError, match="exceed 4096"):
+            threshold_estimate_batch(np.ones((1, 4097), dtype=np.uint8))
+        # The cap is checked before the 0/1 check allocates its temporaries.
+        row = np.ones((1, 1 << 22), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                threshold_estimate_batch(row)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+        # An all-1 row saturates at 0.0 within 16 bits of every midpoint.
+        assert estimate([1] * 4096) == pytest.approx(1.0, abs=1e-6)
+
 
 def polarized(x, eps, variant=Variant.TERMINATING):
     """Where BEC(eps) ends along the first 2000 digits of x: "good" near
     0, "bad" near 1, None in between."""
-    z = apply_path(eps, real_to_expansion(x, variant).prefix(2000))
+    z = apply_path(eps, digits(real_to_expansion(x, variant), 2000))
     return "good" if z < 1e-9 else "bad" if z > 1.0 - 1e-9 else None
 
 
