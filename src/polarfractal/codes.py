@@ -191,23 +191,20 @@ def generator_matrix(index_set: IndexSet) -> GeneratorMatrix:
 
 def _expansion_is_heavy(spec: ExpansionSpec, rho: Fraction) -> bool:
     """Heavy test for one expansion: sign of the per-period weight drift,
-    with the drift-zero case decided by the recurring window minimum."""
+    with the drift-zero case decided by the recurring window minimum.
+    With rho = p/q the walk w(b^m) - rho*m is kept in units of 1/q."""
+    p, q = rho.numerator, rho.denominator
     period = spec.period if spec.period else (0,)
-    k = len(period)
-    drift = Fraction(sum(period)) - rho * k
-    if drift > 0:
-        return True
-    if drift < 0:
-        return False
-    # Zero drift: the walk w(b^m) - rho*m is periodic beyond the preamble,
-    # so the liminf is the minimum over one full recurring window.  Values
-    # inside the preamble occur once and cannot move a liminf.
-    w = sum(spec.preamble)
-    m = len(spec.preamble)
+    drift = q * sum(period) - p * len(period)
+    if drift:
+        return drift > 0
+    # Zero drift: the walk is periodic beyond the preamble, so the liminf
+    # is the minimum over one full recurring window.  Values inside the
+    # preamble occur once and cannot move a liminf.
+    walk = q * sum(spec.preamble) - p * len(spec.preamble)
     for bit in period:
-        w += bit
-        m += 1
-        if Fraction(w) - rho * m < 0:
+        walk += q * bit - p
+        if walk < 0:
             return False
     return True
 

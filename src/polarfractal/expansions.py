@@ -47,46 +47,24 @@ def _as_bits(bits: Iterable[int]) -> tuple[int, ...]:
     return tuple(raw)
 
 
-def _minimal_period(period: tuple[int, ...]) -> tuple[int, ...]:
-    k = len(period)
-    if k < 2:
-        return period
-    # Smallest shift at which the doubled string re-finds itself; a shorter
-    # repeating unit exists iff that shift divides the length.
-    s = bytes(period)
-    shift = (s + s).find(s, 1)
-    if shift < k and k % shift == 0:
-        return period[:shift]
-    return period
-
-
 @dataclass(frozen=True)
 class ExpansionSpec:
     """Eventually periodic binary expansion 0.preamble[period]...
 
-    Normalized on construction to the canonical form: minimal repeating
-    unit, preamble tail absorbed into the period rotation, trailing zeros
-    stripped from terminating forms.  An empty period means an all-zero
-    tail; x = 0 is ((), ()) and x = 1 is ((), (1,)).
+    A validated record: each field is checked to be a 0/1 sequence and
+    kept as a tuple of those bits, with no other change.  An empty period
+    means an all-zero tail.  The canonical form of a rational comes from
+    ``real_to_expansion``; a hand-built spec need not be canonical, and
+    ``real_to_expansion(expansion_to_real(spec))`` gives its canonical
+    form.
     """
 
     preamble: tuple[int, ...]
     period: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        preamble = _as_bits(self.preamble)
-        period = _minimal_period(_as_bits(self.period))
-        if period and not any(period):
-            period = ()
-        if period:
-            while preamble and preamble[-1] == period[-1]:
-                period = (period[-1],) + period[:-1]
-                preamble = preamble[:-1]
-        else:
-            while preamble and preamble[-1] == 0:
-                preamble = preamble[:-1]
-        object.__setattr__(self, "preamble", preamble)
-        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "preamble", _as_bits(self.preamble))
+        object.__setattr__(self, "period", _as_bits(self.period))
 
 
 def parse_rational(text: str) -> Fraction:
@@ -108,14 +86,16 @@ def is_dyadic(x: Fraction) -> bool:
 
 def real_to_expansion(x: Fraction | int | str,
                       variant: Variant = Variant.TERMINATING) -> ExpansionSpec:
-    """Exact binary expansion of a rational in [0,1].
+    """Exact binary expansion of a rational in [0,1], in canonical form.
 
-    Non-dyadic rationals have a unique expansion and ``variant`` is
-    ignored.  For dyadic x the terminating form has an empty period and
-    the non-terminating form flips the last preamble bit and appends the
-    all-ones period.  x = 0 and x = 1 each have a single expansion,
-    returned for either variant.  Raises ResourceLimitError when the odd
-    part of the denominator exceeds 2^40 or the period exceeds 2^20 bits.
+    The canonical form has the minimal period and the shortest preamble,
+    and a terminating form has no trailing zeros.  Non-dyadic rationals
+    have a unique expansion and ``variant`` is ignored.  For dyadic x the
+    terminating form has an empty period and the non-terminating form
+    flips the last preamble bit and appends the all-ones period.  x = 0
+    is ((), ()) and x = 1 is ((), (1,)), returned for either variant.
+    Raises ResourceLimitError when the odd part of the denominator exceeds
+    2^40 or the period exceeds 2^20 bits.
     """
     x = Fraction(x)
     if not 0 <= x <= 1:
@@ -124,15 +104,14 @@ def real_to_expansion(x: Fraction | int | str,
         return ExpansionSpec((), ())
     if x == 1:
         return ExpansionSpec((), (1,))
-    if is_dyadic(x):
-        n = x.denominator.bit_length() - 1
-        p = x.numerator
-        bits = tuple((p >> (n - 1 - i)) & 1 for i in range(n))
+    if is_dyadic(x):  # p/2^n with p odd: the last bit is 1
+        bits = _int_to_bits(x.numerator, x.denominator.bit_length() - 1)
         if variant is Variant.TERMINATING:
             return ExpansionSpec(bits, ())
         return ExpansionSpec(bits[:-1] + (0,), (1,))
     # Write q = 2^a * m with m odd: the minimal preamble has length a and
-    # the minimal period length is the multiplicative order of 2 mod m.
+    # the minimal period length is the multiplicative order of 2 mod m
+    # (gcd(r, m) = 1, and the last bits of preamble and period differ).
     # The period bits are the k-bit digits of r*(2^k - 1)/m, which avoids
     # digit-at-a-time long division for large denominators.
     p, q = x.numerator, x.denominator

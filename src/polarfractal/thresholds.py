@@ -152,11 +152,7 @@ def _threshold_cached(x: Fraction) -> ThresholdResult:
     spec = real_to_expansion(x)
     report = period_fixed_points(spec.period)
     multiplicity = not report.interior_unique
-    zeta = report.interior[-1]
-    if spec.preamble:
-        theta = _solve_preamble(spec.preamble, zeta)
-    else:
-        theta = zeta
+    theta = _solve_preamble(spec.preamble, report.interior[-1])
     return ThresholdResult(x, theta, Certainty.EXACT_BEC, multiplicity)
 
 

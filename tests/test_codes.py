@@ -242,6 +242,32 @@ class TestHeavyMembership:
         # stays non-negative, and only the recurring part moves a liminf.
         assert heavy_membership(Fraction(9, 20), Fraction(1, 2))
 
+    def test_zero_drift_matches_fraction_walk(self):
+        # Oracle: the digits of x by exact doubling, its preamble and period
+        # found where the remainder recurs, and the walk w(b^m) - rho*m in
+        # Fractions at rho = weight/length of the period (zero drift).  x is
+        # heavy iff the walk's minimum over one recurring window is >= 0.
+        members = 0
+        for q in range(3, 60):
+            for p in range(1, q):
+                x = Fraction(p, q)
+                if x.denominator != q or q & (q - 1) == 0:
+                    continue
+                seen, bits, y = {}, [], x
+                while y not in seen:
+                    seen[y] = len(bits)
+                    bits.append(int(2 * y >= 1))
+                    y = 2 * y - bits[-1]
+                start, k = seen[y], len(bits) - seen[y]
+                rho = Fraction(sum(bits[start:]), k)
+                bits += bits[start:]
+                walk = [sum(bits[:m]) - rho * m
+                        for m in range(start + k, start + 2 * k + 1)]
+                want = min(walk) >= 0
+                members += want
+                assert heavy_membership(x, rho) == want, (x, rho)
+        assert 0 < members
+
     @given(st.integers(min_value=0, max_value=200),
            st.integers(min_value=1, max_value=200),
            st.integers(min_value=0, max_value=100),

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -57,17 +58,58 @@ class TestExpansionToReal:
         assert expansion_to_real(ExpansionSpec((), ())) == 0
 
 
-def test_canonicalization():
-    # Period reduced to its minimal repeating unit.
-    assert ExpansionSpec((), (0, 1, 0, 1)).period == (0, 1)
-    # All-zero period collapses to the terminating form.
-    assert ExpansionSpec((1,), (0, 0)) == ExpansionSpec((1,), ())
-    # Preamble tail absorbed into the period rotation.
-    assert ExpansionSpec((1, 0), (1, 0)) == ExpansionSpec((), (1, 0))
-    # Trailing zeros stripped from terminating forms.
-    assert ExpansionSpec((1, 0, 0), ()).preamble == (1,)
-    # All-ones tail after absorption is the x = 1 form.
-    assert ExpansionSpec((1,), (1,)) == ExpansionSpec((), (1,))
+def _two_adic_valuation(q: int) -> int:
+    a = 0
+    while q % 2 == 0:
+        q //= 2
+        a += 1
+    return a
+
+
+def _assert_canonical(x: Fraction, variant: Variant) -> None:
+    spec = real_to_expansion(x, variant)
+    preamble, period = spec.preamble, spec.period
+    k = len(period)
+    # Minimal period, by brute force over the proper divisors of k.
+    raw = bytes(period)
+    divisors = {e for d in range(1, math.isqrt(k) + 1) if k % d == 0
+                for e in (d, k // d)}
+    for d in divisors - {k}:
+        assert raw[:d] * (k // d) != raw, (x, variant, d)
+    # An all-zero tail is the empty period.
+    assert not period or any(period), (x, variant)
+    if not is_dyadic(x):
+        assert len(preamble) == _two_adic_valuation(x.denominator), x
+    if preamble and period:
+        assert preamble[-1] != period[-1], (x, variant)
+    if not period:
+        assert not preamble or preamble[-1] == 1, (x, variant)
+    assert expansion_to_real(spec) == x, (x, variant)
+
+
+def test_real_to_expansion_is_canonical():
+    # Every p/q with q < 128 and 200 random q < 10^6 (about 3 s).
+    xs = {Fraction(p, q) for q in range(1, 128) for p in range(q + 1)}
+    rng = random.Random(4321)
+    for _ in range(200):
+        q = rng.randrange(1, 10**6)
+        xs.add(Fraction(rng.randrange(0, q + 1), q))
+    for x in sorted(xs):
+        for variant in Variant:
+            _assert_canonical(x, variant)
+
+
+def test_hand_built_spec_keeps_its_fields():
+    # A spec is a validated record: nothing is re-normalized, and
+    # real_to_expansion(expansion_to_real(spec)) is its canonical form.
+    spec = ExpansionSpec((), (0, 1, 0, 1))
+    assert (spec.preamble, spec.period) == ((), (0, 1, 0, 1))
+    assert expansion_to_real(spec) == Fraction(1, 3)
+    assert real_to_expansion(expansion_to_real(spec)) == ExpansionSpec((), (0, 1))
+    spec = ExpansionSpec((1, 0), (1, 0))
+    assert (spec.preamble, spec.period) == ((1, 0), (1, 0))
+    assert expansion_to_real(spec) == Fraction(2, 3)
+    assert real_to_expansion(expansion_to_real(spec)) == ExpansionSpec((), (1, 0))
 
 
 def test_round_trip_random_rationals():
@@ -169,8 +211,9 @@ class TestNumpyBits:
         assert ExpansionSpec(empty, empty) == ExpansionSpec((), ())
 
     def test_expansion_spec(self, dtype):
-        assert ExpansionSpec((), np.array([1, 1], dtype=dtype)) == \
-            ExpansionSpec((), (1,))
+        spec = ExpansionSpec((), np.array([1, 1], dtype=dtype))
+        assert spec == ExpansionSpec((), (1, 1))
+        assert all(type(b) is int for b in spec.period)
         spec = ExpansionSpec(np.array([1, 0], dtype=dtype),
                              np.array([0, 1, 1], dtype=dtype))
         assert spec == ExpansionSpec((1, 0), (0, 1, 1))
