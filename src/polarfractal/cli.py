@@ -9,10 +9,14 @@ violation or defect found, 3 resource limit.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import functools
 import json
+import math
 import random
 import sys
+from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
@@ -41,14 +45,35 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(x: float) -> str:
-    """17 significant digits: exact round trip for binary64, '.' decimal
-    point, no locale dependence."""
-    return format(float(x), ".17g")
+def _fmt(x) -> str:
+    """A float to 17 significant digits (exact round trip for binary64,
+    '.' decimal point, no locale dependence); any other value as its str."""
+    return format(x, ".17g") if isinstance(x, float) else str(x)
 
 
 def _print(out, text: str) -> None:
     out.write(text + "\n")
+
+
+def _csv(out, header: str, rows) -> None:
+    """A CSV table: the header line, then one line of ``_fmt`` cells per row."""
+    _print(out, header)
+    for row in rows:
+        _print(out, ",".join(map(_fmt, row)))
+
+
+def _record(obj) -> dict:
+    """The fields of a result record in definition order, Fractions as
+    their str and enums by value: the JSON form of the record."""
+    doc = {}
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
+        if isinstance(value, Fraction):
+            value = str(value)
+        elif isinstance(value, Enum):
+            value = value.value
+        doc[field.name] = value
+    return doc
 
 
 def _parse_depths(text: str) -> list[int]:
@@ -155,10 +180,7 @@ def _cmd_threshold(args, out) -> int:
     x = parse_rational(args.x)
     result = thresholds.threshold_of_rational(x)
     if args.json:
-        _print(out, json.dumps({
-            "x": str(x), "theta": result.theta,
-            "certainty": result.certainty.value,
-            "multiplicity_flag": result.multiplicity_flag}))
+        _print(out, json.dumps(_record(result)))
     else:
         _print(out, f"x = {x}")
         _print(out, f"theta = {_fmt(result.theta)}")
@@ -171,19 +193,13 @@ def _cmd_threshold(args, out) -> int:
 def _cmd_plot_fractal(args, out) -> int:
     rows = thresholds.threshold_curve(args.grid_exponent, args.depth,
                                       include_dyadics=args.include_dyadics)
-    sink = open(args.output, "w") if args.output else out
-    try:
+    with (open(args.output, "w") if args.output
+          else contextlib.nullcontext(out)) as sink:
         if args.json:
-            _print(sink, json.dumps({
-                "grid_exponent": args.grid_exponent, "depth": args.depth,
-                "points": [[x, th] for x, th in rows]}))
+            _print(sink, json.dumps({"grid_exponent": args.grid_exponent,
+                                     "depth": args.depth, "points": rows}))
         else:
-            _print(sink, "x,theta")
-            for x, th in rows:
-                _print(sink, f"{_fmt(x)},{_fmt(th)}")
-    finally:
-        if args.output:
-            sink.close()
+            _csv(sink, "x,theta", rows)
     return EXIT_OK
 
 
@@ -215,15 +231,11 @@ def _cmd_measure(args, out) -> int:
                                      mc_trials=args.trials, seed=args.seed,
                                      threads=args.threads)
     if args.json:
-        _print(out, json.dumps([{
-            "depth": e.depth, "eps": e.eps, "delta": e.delta,
-            "fraction_good": e.fraction_good, "fraction_bad": e.fraction_bad,
-            "fraction_unresolved": e.fraction_unresolved} for e in estimates]))
+        _print(out, json.dumps([_record(e) for e in estimates]))
     else:
-        _print(out, "depth,fraction_good,fraction_bad,fraction_unresolved")
-        for e in estimates:
-            _print(out, f"{e.depth},{_fmt(e.fraction_good)},"
-                        f"{_fmt(e.fraction_bad)},{_fmt(e.fraction_unresolved)}")
+        _csv(out, "depth,fraction_good,fraction_bad,fraction_unresolved",
+             ((e.depth, e.fraction_good, e.fraction_bad, e.fraction_unresolved)
+              for e in estimates))
     return EXIT_OK
 
 
@@ -241,12 +253,13 @@ def _random_cell_samples(rng: random.Random, n: int, k: int, count: int,
             raise _UsageError(
                 f"could not sample cell {k} at depth {n}; raise --denominator-max")
         q = rng.randrange(3, qmax + 1)
-        lo_p = int(lo * q) + 1
-        hi_p = int(hi * q) if Fraction(int(hi * q), q) < hi else int(hi * q) - 1
+        # The numerators strictly inside the cell: lo < p/q < hi.
+        lo_p = math.floor(lo * q) + 1
+        hi_p = math.ceil(hi * q) - 1
         if lo_p > hi_p:
             continue
         x = Fraction(rng.randrange(lo_p, hi_p + 1), q)
-        if is_dyadic(x) or not lo < x < hi:
+        if is_dyadic(x):
             continue
         samples.append(x)
     return samples
@@ -278,18 +291,9 @@ def _cmd_selfsim(args, out) -> int:
             violations.extend(fractal.heavy_selfsim_check(
                 samples, Fraction(args.rho), args.n, k))
     if args.json:
-        def as_doc(v):
-            if args.set == "threshold":
-                return {"x": str(v.x), "n": v.n, "k": v.k,
-                        "theta_left": v.theta_left, "theta": v.theta,
-                        "theta_right": v.theta_right, "defect": v.defect}
-            return {"x": str(v.x), "rho": str(v.rho), "n": v.n, "k": v.k,
-                    "member_left": v.member_left, "member": v.member,
-                    "member_right": v.member_right}
-
         _print(out, json.dumps({
             "set": args.set, "n": args.n, "checked": checked,
-            "violations": [as_doc(v) for v in violations]}))
+            "violations": [_record(v) for v in violations]}))
     else:
         _print(out, f"checked = {checked}")
         _print(out, f"violations = {len(violations)}")
@@ -326,39 +330,29 @@ def _cmd_walk(args, out) -> int:
         rows = fractal.feller_identity_table(args.n)
         defective = any(row.defect != 0 for row in rows)
         if args.json:
-            _print(out, json.dumps([{
-                "r": row.r, "prob": str(row.prob),
-                "closed_form": str(row.closed_form),
-                "cumulative": str(row.cumulative), "bound": row.bound,
-                "defect": str(row.defect)} for row in rows]))
+            _print(out, json.dumps([_record(row) for row in rows]))
         else:
-            _print(out, "r,prob,closed_form,cumulative,bound,defect")
-            for row in rows:
-                _print(out, f"{row.r},{row.prob},{row.closed_form},"
-                            f"{row.cumulative},{_fmt(row.bound)},{row.defect}")
+            _csv(out, "r,prob,closed_form,cumulative,bound,defect",
+                 (_record(row).values() for row in rows))
         return EXIT_VIOLATION if defective else EXIT_OK
     if args.trials is None or args.seed is None:
         raise _UsageError("walk needs --exhaustive or --trials with --seed")
     stats = fractal.walk_distribution(args.n, trials=args.trials,
                                       seed=args.seed, threads=args.threads)
-    odd = args.n % 2 == 1
-    m = (args.n - 1) // 2
-
-    def exact_of(r: int) -> str:
-        if not odd:
-            return ""
-        return _fmt(float(fractal.crossing_count_closed_form(args.n, r)))
-
+    counts = sorted(stats.counts_by_crossings.items())
     if args.json:
         _print(out, json.dumps({
             "n": stats.n, "total": stats.total, "seed": stats.seed,
-            "counts": {str(r): c for r, c
-                       in sorted(stats.counts_by_crossings.items())}}))
+            "counts": {str(r): c for r, c in counts}}))
     else:
-        _print(out, "r,count,empirical_prob,exact_prob,bound")
-        for r, c in sorted(stats.counts_by_crossings.items()):
-            bound = _fmt(fractal.crossing_cdf_bound(m, r)) if odd else ""
-            _print(out, f"{r},{c},{_fmt(c / stats.total)},{exact_of(r)},{bound}")
+        # The closed-form columns are empty at even horizons.
+        odd = args.n % 2 == 1
+        m = (args.n - 1) // 2
+        _csv(out, "r,count,empirical_prob,exact_prob,bound", (
+            (r, c, c / stats.total,
+             float(fractal.crossing_count_closed_form(args.n, r)) if odd else "",
+             fractal.crossing_cdf_bound(m, r) if odd else "")
+            for r, c in counts))
     return EXIT_OK
 
 
@@ -371,9 +365,7 @@ def _cmd_entropy(args, out) -> int:
         _print(out, json.dumps([{"n": n, "entropy_count": e, "h2": h}
                                 for n, e, h in rows]))
     else:
-        _print(out, "n,entropy_count,h2")
-        for n, e, h in rows:
-            _print(out, f"{n},{_fmt(e)},{_fmt(h)}")
+        _csv(out, "n,entropy_count,h2", rows)
     return EXIT_OK
 
 

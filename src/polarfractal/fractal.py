@@ -39,8 +39,8 @@ _MAX_EXHAUSTIVE_WALK = 25
 
 @dataclass(frozen=True)
 class MeasureEstimate:
-    eps: float
     depth: int
+    eps: float
     delta: float
     fraction_good: float
     fraction_bad: float
@@ -206,7 +206,7 @@ def measure_scan(eps: float, depths: Sequence[int], delta: float = 1e-3,
             good, bad = sampled[n]
             total = mc_trials
         out.append(MeasureEstimate(
-            eps=eps, depth=n, delta=delta,
+            depth=n, eps=eps, delta=delta,
             fraction_good=good / total, fraction_bad=bad / total,
             fraction_unresolved=(total - good - bad) / total))
     return out
@@ -395,10 +395,7 @@ class CrossingRow:
     closed_form: Fraction
     cumulative: Fraction
     bound: float
-
-    @property
-    def defect(self) -> Fraction:
-        return self.prob - self.closed_form
+    defect: Fraction  # prob - closed_form
 
 
 def feller_identity_table(m: int) -> list[CrossingRow]:
@@ -410,11 +407,12 @@ def feller_identity_table(m: int) -> list[CrossingRow]:
     cumulative = Fraction(0)
     for r in range(m + 1):
         p = stats.probability(r)
+        closed_form = crossing_count_closed_form(horizon, r)
         cumulative += p
-        rows.append(CrossingRow(r=r, prob=p,
-                                closed_form=crossing_count_closed_form(horizon, r),
+        rows.append(CrossingRow(r=r, prob=p, closed_form=closed_form,
                                 cumulative=cumulative,
-                                bound=crossing_cdf_bound(m, r)))
+                                bound=crossing_cdf_bound(m, r),
+                                defect=p - closed_form))
     return rows
 
 

@@ -35,8 +35,6 @@ _ROW_BLOCK = 1 << 12
 # costs a good part of a block's, and their orbits can run the full depth.
 _MAX_PLOT_BITS = 1 << 24
 
-_ROOT_MERGE_TOL = 1e-9
-
 # Interior points of the uniform 4096-step scan grid, shared read-only.
 _SCAN_GRID = np.linspace(0.0, 1.0, (1 << 12) + 1)[1:-1]
 _SCAN_GRID.setflags(write=False)
@@ -91,9 +89,11 @@ def period_fixed_points(period: Sequence[int]) -> FixedPointReport:
 
     Interior crossings of p(z) - z are bracketed by sign changes on a
     uniform grid and bisected down to adjacent doubles on the sign of
-    p(z) - z alone (``_bisect_root``).  Near-tangential pairs closer than
-    the 1/4096 grid step can be missed.  The edge brackets run down to
-    1e-300 and up to the largest double below 1.
+    p(z) - z alone (``_bisect_root``).  Every grid zero and every bracket
+    root is reported, however close: distinct brackets hold distinct
+    roots.  Near-tangential pairs closer than the 1/4096 grid step can be
+    missed.  The edge brackets run down to 1e-300 and up to the largest
+    double below 1.
 
     Every evaluation of p stops once its values are exactly 0.0 or 1.0
     (see ``apply_path``), which is exact because both are fixed by every
@@ -122,16 +122,8 @@ def period_fixed_points(period: Sequence[int]) -> FixedPointReport:
         brackets.append((float(grid[-1]), math.nextafter(1.0, 0.0),
                          float(d[-1])))
 
-    for lo, hi, d_lo in brackets:
-        roots.append(_bisect_root(period, lo, hi, d_lo))
-
-    roots.sort()
-    merged: list[float] = []
-    for r in roots:
-        if not merged or r - merged[-1] > _ROOT_MERGE_TOL:
-            merged.append(r)
-
-    return FixedPointReport(tuple(merged))
+    roots += [_bisect_root(period, lo, hi, d_lo) for lo, hi, d_lo in brackets]
+    return FixedPointReport(tuple(sorted(roots)))
 
 
 def _solve_preamble(preamble: tuple[int, ...], zeta: float) -> float:

@@ -7,13 +7,18 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import polarfractal
-from polarfractal.cli import build_parser, main
+from polarfractal import fractal
+from polarfractal.cli import _record, build_parser, main
 from polarfractal.codes import matrix_from_bytes
+from polarfractal.fractal import (CrossingRow, HeavyImplicationViolation,
+                                  MeasureEstimate, ThresholdOrderViolation)
+from polarfractal.thresholds import Certainty, ThresholdResult
 
 
 def run(argv):
@@ -234,6 +239,24 @@ class TestSelfsim:
         assert doc["violations"] == []
         assert doc["checked"] == 6
 
+    @pytest.mark.parametrize("argv,digest", [
+        (["--n", "2", "--cell", "2", "--samples", "1", "--seed", "1"],
+         "361242e3416d19f9b3641f86c56a5989f2fe668aba94b9087605ac83d239e96e"),
+        (["--n", "2", "--cell", "2", "--samples", "1", "--seed", "1",
+          "--set", "heavy", "--rho", "1/2"],
+         "4c741aa4ee5a10da5029ab052943461f2cde539a64b2e3da2bba7d4f47ef81ac")])
+    def test_violation_json_is_pinned(self, argv, digest, monkeypatch):
+        # No sampled run finds a violation, so one of each kind is injected.
+        monkeypatch.setattr(fractal, "selfsim_threshold_check",
+                            lambda samples, n, k: [ThresholdOrderViolation(
+                                Fraction(5, 12), 2, 2, 0.5, 0.25, 0.75, 0.25)])
+        monkeypatch.setattr(fractal, "heavy_selfsim_check",
+                            lambda samples, rho, n, k: [HeavyImplicationViolation(
+                                Fraction(5, 12), Fraction(1, 2), 2, 2,
+                                True, False, True)])
+        rc, out = run(["selfsim", *argv, "--json"])
+        assert (rc, sha256(out.encode())) == (2, digest)
+
     @pytest.mark.parametrize("argv,want", [
         (["--n", "17", "--samples", "1"], 3),
         (["--n", "20", "--cell", "1", "--samples", "1"], 3),
@@ -310,6 +333,41 @@ class TestEntropy:
         n, count, h2 = lines[2].split(",")
         assert abs(float(count) - float(h2)) <= 0.02
 
+    def test_json_and_csv_carry_the_same_values(self):
+        # 17 significant digits round-trip binary64, so both forms must
+        # give back the same floats.
+        argv = ["entropy", "--rho", "3/5", "--n", "1,7,100,1000"]
+        _, text = run(argv)
+        _, doc = run([*argv, "--json"])
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert len(rows) == 4
+        assert json.loads(doc) == [
+            {"n": int(n), "entropy_count": float(e), "h2": float(h)}
+            for n, e, h in rows]
+
+
+@pytest.mark.parametrize("record,want", [
+    (ThresholdResult(Fraction(2, 3), 0.5, Certainty.EXACT_BEC, False),
+     [("x", "2/3"), ("theta", 0.5), ("certainty", "exact-bec"),
+      ("multiplicity_flag", False)]),
+    (MeasureEstimate(depth=3, eps=0.5, delta=0.01, fraction_good=0.25,
+                     fraction_bad=0.5, fraction_unresolved=0.25),
+     [("depth", 3), ("eps", 0.5), ("delta", 0.01), ("fraction_good", 0.25),
+      ("fraction_bad", 0.5), ("fraction_unresolved", 0.25)]),
+    (CrossingRow(r=1, prob=Fraction(3, 8), closed_form=Fraction(1, 4),
+                 cumulative=Fraction(1, 2), bound=2.5, defect=Fraction(1, 8)),
+     [("r", 1), ("prob", "3/8"), ("closed_form", "1/4"),
+      ("cumulative", "1/2"), ("bound", 2.5), ("defect", "1/8")]),
+    (ThresholdOrderViolation(Fraction(5, 12), 2, 2, 0.5, 0.25, 0.75, 0.25),
+     [("x", "5/12"), ("n", 2), ("k", 2), ("theta_left", 0.5),
+      ("theta", 0.25), ("theta_right", 0.75), ("defect", 0.25)]),
+    (HeavyImplicationViolation(Fraction(5, 12), Fraction(1, 2), 2, 2,
+                               True, False, True),
+     [("x", "5/12"), ("rho", "1/2"), ("n", 2), ("k", 2),
+      ("member_left", True), ("member", False), ("member_right", True)])])
+def test_record_gives_fields_in_order(record, want):
+    assert list(_record(record).items()) == want
+
 
 class TestContract:
     def test_unknown_flag_rejected(self):
@@ -367,9 +425,9 @@ class TestContract:
         assert len(outputs) == 1
 
 
-# sha256 of the stdout of deterministic commands (and of one binary matrix
-# file), pinned so that output stays byte-identical from one change to the
-# next.  `entropy` is left out: it goes through libm's lgamma and log2,
+# sha256 of the stdout of deterministic commands (and of the files that
+# `--matrix-out` and `-o` write), pinned so that output stays byte-identical
+# from one change to the next.  `entropy` is left out: it goes through libm's lgamma and log2,
 # which may differ between platforms.
 GOLDEN_STDOUT = {
     "threshold 6394/30375 --json":
@@ -404,13 +462,39 @@ GOLDEN_STDOUT = {
         "6eb76576aa413d39799cffacda761b934a556a28313ce99784acbbf9a51533b5",
     "construct polar --eps 0.5 --n 9 --k 200 --matrix-out":
         "8cfb0415a0150581264cd10980707be55cc0526f9957aef24fe141e5f56683c4",
+    "threshold 6394/30375":
+        "e0795019da92c428b472214cc0db42a246d87d255f2e3dbe74a09beda81713ee",
+    "measure --eps 0.5 --depths 10,16,20 --json":
+        "a4fd9085d9467c8e64dfb06fffddd527f12ddbd573cb11aebe1ab8e02ba3bfa2",
+    "measure --eps 0.3 --depths 3,26 --trials 5000 --seed 3 --json":
+        "6c3a7dfa47bfbb9f043cd299c7b637b3cc78b716b458fd770d244c647a86a3f4",
+    "plot-fractal -m 4 --include-dyadics":
+        "9902389d8839d05fb3300aa67dc24f74f8175cdb5b3dd8bce12eca1e21e90ecc",
+    "walk --n 8 --exhaustive --json":
+        "9d5c4059f9499ccbaa4abcc52b72e5ab70bbb53f0e0361ac1ffcfe8e72647874",
+    "walk --n 301 --trials 20000 --seed 5 --json":
+        "291a22b107c0ef74cb5ec8a63f82736cf29cfadf969f36b08884b516b7baa7bd",
+    "walk --n 300 --trials 2000 --seed 5":
+        "66f9103e06da0af26a0da10aa14af8c4a40ce5d82a77ff58b39173348dd40f3a",
+    "walk --n 1000 --trials 20000 --seed 5 --min-nonneg --json":
+        "5c4fe7aa7fb9ca41a56944e132fa348216023485c67111e33a5f209631edc960",
+    "selfsim --n 2 --samples 10 --seed 13 --json":
+        "283f48872cae866fc28bd3bb7e166b9a7b6fd141fb04f027a4de1a7f90e15c28",
+    "selfsim --n 3 --samples 5 --seed 2 --set heavy --rho 1/2 --json":
+        "1ea3f5e399a296bb17bca11399461b742e946def4a825d991f9b368b55903c99",
+    "heavy 2/3 --rho 1/2 --json":
+        "33acd92f4cf40f1257e28c25ed06c0a876a2b63b460d66e1f5fb04459f3e9d9f",
+    "plot-fractal -m 6 -o":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
 }
-# sha256 of the file each `--matrix-out` command above writes.
-GOLDEN_MATRIX_FILES = {
+# sha256 of the file each `--matrix-out` or `-o` command above writes.
+GOLDEN_FILES = {
     "construct rm --n 8 --r 3 --matrix-format binary --matrix-out":
         "5026599aad8c115d3922b9ba4e57d6336100df91f8be1ce66b6b5f7b1d87a0c2",
     "construct polar --eps 0.5 --n 9 --k 200 --matrix-out":
         "2d4d036c62a2f70914e56cec610b0dc6a692efefb64a4fe201e22e768c1a9830",
+    "plot-fractal -m 6 -o":
+        "40bbbcfbf052a804d6aaeb6c88e1cecd8a59d913729c9f4381c51b13463a0885",
 }
 
 
@@ -419,16 +503,16 @@ def sha256(data):
 
 
 def test_golden_outputs(tmp_path):
-    matrix = tmp_path / "matrix"
+    written = tmp_path / "written"
     for command, digest in GOLDEN_STDOUT.items():
         argv = command.split()
-        if argv[-1] == "--matrix-out":
-            argv.append(str(matrix))
+        if argv[-1] in ("--matrix-out", "-o"):
+            argv.append(str(written))
         rc, out = run(argv)
         assert (rc, sha256(out.encode())) == (0, digest), command
-        if command in GOLDEN_MATRIX_FILES:
-            assert sha256(matrix.read_bytes()) == GOLDEN_MATRIX_FILES[command]
-            matrix.unlink()
+        if command in GOLDEN_FILES:
+            assert sha256(written.read_bytes()) == GOLDEN_FILES[command], command
+            written.unlink()
 
 
 SRC_DIR = os.path.dirname(os.path.dirname(polarfractal.__file__))

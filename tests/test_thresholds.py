@@ -105,6 +105,30 @@ class TestPeriodFixedPoints:
         period = real_to_expansion(x).period
         assert period_fixed_points(period) == scalar_scan_report(period)
 
+    def test_close_bracket_roots_all_reported(self, monkeypatch):
+        # A scan with three sign changes, at 1/4, 1/2 and 3/4, whose
+        # brackets bisect to roots of which two lie 1e-12 apart: each is
+        # reported, and the report is not unique.
+        def scan(grid, period):
+            return grid + np.where((grid > 0.25) & (grid < 0.5) | (grid > 0.75),
+                                   1.0, -1.0)
+
+        step = 1.0 / 4096
+        want = [0.3, 0.3 + 1e-12, 0.8]
+        brackets = []
+
+        def bisect(period, lo, hi, d_lo):
+            brackets.append((lo, hi))
+            return want[len(brackets) - 1]
+
+        monkeypatch.setattr(thresholds, "apply_path_array", scan)
+        monkeypatch.setattr(thresholds, "_bisect_root", bisect)
+        report = period_fixed_points([1, 0])
+        assert brackets == [(0.25, 0.25 + step), (0.5 - step, 0.5),
+                            (0.75, 0.75 + step)]
+        assert report.interior == tuple(want)
+        assert not report.interior_unique
+
     @pytest.mark.parametrize("period", [[0], [1], [0, 0], [1, 1, 1], []])
     def test_trivial_period_rejected(self, period):
         with pytest.raises(TrivialPeriodError):
@@ -145,11 +169,7 @@ def scalar_scan_report(period, resolution=4096):
         brackets.append((float(grid[-1]), math.nextafter(1.0, 0.0),
                          float(d[-1])))
     roots += [_bisect_root(period, lo, hi, d_lo) for lo, hi, d_lo in brackets]
-    merged = []
-    for r in sorted(roots):
-        if not merged or r - merged[-1] > 1e-9:
-            merged.append(r)
-    return FixedPointReport(tuple(merged))
+    return FixedPointReport(tuple(sorted(roots)))
 
 
 class TestThresholdOfRational:
