@@ -210,16 +210,19 @@ def _cmd_construct(args, out) -> int:
         index_set = codes.rm_index_set(args.r, args.n)
     if args.matrix_out:
         gm = codes.generator_matrix(index_set)
-        export = (codes.matrix_to_text if args.matrix_format == "text"
-                  else codes.matrix_to_bytes)
+        export = (codes.matrix_text_blocks if args.matrix_format == "text"
+                  else codes.matrix_bytes_blocks)
         with open(args.matrix_out, "wb") as fh:
-            fh.write(export(gm))
+            fh.writelines(export(gm))
+    # Index sets go out a block at a time, never as one string.
     if args.json:
-        _print(out, codes.index_set_to_json(index_set))
+        out.writelines(codes.index_set_json_blocks(index_set))
+        out.write("\n")
     else:
         meta = ", ".join(f"{k} = {v}" for k, v in index_set.meta.items())
         _print(out, f"kind = {index_set.kind}, n = {index_set.n}, {meta}")
-        _print(out, codes._decimal_list(index_set.array, "indices = ", " ", ""))
+        out.writelines(codes.decimal_blocks(index_set.array, "indices = ",
+                                            " ", "\n"))
     return EXIT_OK
 
 

@@ -34,9 +34,14 @@ _SUBSET_BYTE = np.array([sum(1 << j for j in range(8) if j & ~l == 0)
                          for l in range(8)], dtype=np.uint8)
 
 _MATRIX_MAGIC = b"KPCM"
+# Text bytes per block of matrix_text_blocks: whole rows, or pieces of a
+# row wider than a block.
+_TEXT_BLOCK_BYTES = 1 << 20
 
 # 10^1 .. 10^18: where the digit count of a non-negative int64 steps up.
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
+# Values per block of decimal_blocks: bounds its digit and text buffers.
+_DECIMAL_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -138,11 +143,12 @@ def polar_index_set(eps: float, n: int, size: int) -> IndexSet:
     if not 0 <= size <= (1 << n):
         raise ValueError(f"size must lie in [0, 2^{n}], got {size}")
     z = bec_leaf_values(eps, n)
-    keep = np.zeros(z.size, dtype=bool)
-    if size:
-        kth = np.sort(z)[size - 1]
-        np.less(z, kth, out=keep)
-        keep[np.flatnonzero(z == kth)[:size - np.count_nonzero(keep)]] = True
+    # The sorted copy is the largest temporary, so it is gone before the
+    # mask exists, and the leaves are gone before IndexSet copies.
+    kth = np.sort(z)[size - 1] if size else -np.inf
+    keep = z < kth
+    keep[np.flatnonzero(z == kth)[:size - np.count_nonzero(keep)]] = True
+    del z
     return IndexSet(n=n, indices=np.flatnonzero(keep), kind="polar",
                     meta={"eps": eps, "size": size})
 
@@ -158,7 +164,8 @@ def rm_index_set(order: int, n: int) -> IndexSet:
         raise ValueError(f"order must lie in [0, {n}], got {order}")
     if n > _MAX_ROW_DEPTH:
         raise ResourceLimitError(f"enumerating 2^{n} indices exceeds the budget")
-    idx = np.flatnonzero(np.bitwise_count(np.arange(1 << n)) >= n - order)
+    idx = np.flatnonzero(
+        np.bitwise_count(np.arange(1 << n, dtype=np.uint32)) >= n - order)
     return IndexSet(n=n, indices=idx, kind="reed-muller", meta={"order": order})
 
 
@@ -230,21 +237,45 @@ def heavy_membership(x: Fraction | int | str, rho: Fraction | int | str) -> bool
     return any(_expansion_is_heavy(spec, rho) for spec in specs)
 
 
+def matrix_text_blocks(gm: GeneratorMatrix):
+    """The text export as blocks of about ``_TEXT_BLOCK_BYTES``, each
+    unpacked from ``packed`` on its own: one '0'/'1' row per line, as
+    ASCII, and one newline for a matrix without rows."""
+    packed, width = gm.packed, 1 << gm.n
+    if not packed.shape[0]:
+        yield b"\n"
+        return
+    rows = max(1, _TEXT_BLOCK_BYTES // (width + 1))
+    piece = _TEXT_BLOCK_BYTES >> 3  # packed bytes of one row per block
+    for s in range(0, packed.shape[0], rows):
+        for c in range(0, packed.shape[1], piece):
+            bits = np.unpackbits(packed[s:s + rows, c:c + piece], axis=-1,
+                                 count=min(width - 8 * c, 8 * piece),
+                                 bitorder="little")
+            # Only a block that ends its rows ends in newlines.
+            last = c + piece >= packed.shape[1]
+            text = np.empty((bits.shape[0], bits.shape[1] + last),
+                            dtype=np.uint8)
+            np.add(bits, ord("0"), out=text[:, :bits.shape[1]])
+            text[:, bits.shape[1]:] = ord("\n")
+            yield text
+
+
+def matrix_bytes_blocks(gm: GeneratorMatrix):
+    """The binary export as two blocks: magic "KPCM", u32 depth and u32
+    row count, then the rows packed as little-endian bit blocks."""
+    yield _MATRIX_MAGIC + struct.pack("<II", gm.n, gm.packed.shape[0])
+    yield np.ascontiguousarray(gm.packed)
+
+
 def matrix_to_text(gm: GeneratorMatrix) -> bytes:
-    """One '0'/'1' row per line, as ASCII bytes; a matrix without rows
-    gives one newline."""
-    buf = np.empty((gm.packed.shape[0], (1 << gm.n) + 1), dtype=np.uint8)
-    np.add(gm.rows, ord("0"), out=buf[:, :-1])
-    buf[:, -1] = ord("\n")
-    return buf.tobytes() or b"\n"
+    """The text export of :func:`matrix_text_blocks` as one bytes."""
+    return b"".join(matrix_text_blocks(gm))
 
 
 def matrix_to_bytes(gm: GeneratorMatrix) -> bytes:
-    """Binary export: magic "KPCM", u32 depth, u32 row count, then rows
-    packed as little-endian bit blocks."""
-    header = _MATRIX_MAGIC + struct.pack("<II", gm.n, gm.packed.shape[0])
-    # join reads the array's buffer directly: one copy of the body.
-    return b"".join((header, np.ascontiguousarray(gm.packed)))
+    """The binary export of :func:`matrix_bytes_blocks` as one bytes."""
+    return b"".join(matrix_bytes_blocks(gm))
 
 
 def matrix_from_bytes(blob: bytes) -> GeneratorMatrix:
@@ -264,22 +295,20 @@ def matrix_from_bytes(blob: bytes) -> GeneratorMatrix:
                            & pad_mask)
 
 
-def _decimal_list(values: np.ndarray, head: str, sep: str, tail: str) -> str:
-    """``head + sep.join(map(str, values)) + tail`` for a sorted array of
-    non-negative int64 values.
+def _decimal_rows(values: np.ndarray, sep: bytes) -> np.ndarray:
+    """The ASCII digits of each of the sorted, non-negative int64 values,
+    each followed by ``sep``, as one uint8 array.
 
     The values split into runs of equal digit count.  Each run computes
     its digits into a contiguous (digit, value) array, in uint32 when the
     values fit, then copies it transposed into fixed-width rows of digits
-    and separator in one byte buffer, which is decoded once.
+    and separator.
     """
-    head, sep, tail = (t.encode("ascii") for t in (head, sep, tail))
     cuts = [0, *np.searchsorted(values, _POW10).tolist(), values.size]
-    body = sum((b - a) * (d + len(sep))
-               for d, (a, b) in enumerate(zip(cuts, cuts[1:]), 1))
-    buf = np.empty(len(head) + body + len(tail), dtype=np.uint8)
-    buf[:len(head)] = np.frombuffer(head, dtype=np.uint8)
-    pos = len(head)
+    buf = np.empty(sum((b - a) * (d + len(sep))
+                       for d, (a, b) in enumerate(zip(cuts, cuts[1:]), 1)),
+                   dtype=np.uint8)
+    pos = 0
     for d, (a, b) in enumerate(zip(cuts, cuts[1:]), 1):
         if a == b:
             continue
@@ -297,15 +326,33 @@ def _decimal_list(values: np.ndarray, head: str, sep: str, tail: str) -> str:
         digits[0] = v
         digits += ord("0")
         rows[:, :d] = digits.T
-    # The tail overwrites the separator after the last value.
-    end = pos - (len(sep) if values.size else 0)
-    buf[end:end + len(tail)] = np.frombuffer(tail, dtype=np.uint8)
-    return buf[:end + len(tail)].tobytes().decode("ascii")
+    return buf
+
+
+def decimal_blocks(values: np.ndarray, head: str, sep: str, tail: str):
+    """``head + sep.join(map(str, values)) + tail`` for a sorted array of
+    non-negative int64 values, as str blocks of ``_DECIMAL_BLOCK`` values,
+    so that no more than one block's text is held at a time."""
+    yield head
+    sep = sep.encode("ascii")
+    for s in range(0, values.size, _DECIMAL_BLOCK):
+        text = _decimal_rows(values[s:s + _DECIMAL_BLOCK], sep)
+        if s + _DECIMAL_BLOCK >= values.size:
+            # No separator after the last value.
+            text = text[:text.size - len(sep)]
+        yield text.tobytes().decode("ascii")
+    yield tail
+
+
+def index_set_json_blocks(index_set: IndexSet):
+    """One JSON object, as str blocks: kind, n, the meta keys, then the
+    indices."""
+    head = json.dumps({"kind": index_set.kind, "n": index_set.n,
+                       **index_set.meta})
+    return decimal_blocks(index_set.array, head[:-1] + ', "indices": [',
+                          ", ", "]}")
 
 
 def index_set_to_json(index_set: IndexSet) -> str:
-    """One JSON object: kind, n, the meta keys, then the indices."""
-    head = json.dumps({"kind": index_set.kind, "n": index_set.n,
-                       **index_set.meta})
-    return _decimal_list(index_set.array, head[:-1] + ', "indices": [',
-                         ", ", "]}")
+    """The JSON object of :func:`index_set_json_blocks` as one str."""
+    return "".join(index_set_json_blocks(index_set))

@@ -103,9 +103,12 @@ def bec_leaf_values(eps: float, n: int) -> np.ndarray:
             f"2^{n} leaves exceed the list budget (depth <= {MAX_LEAF_LIST_DEPTH})")
     z = np.array([eps])
     for _ in range(n):  # first-bit-major order
+        # Children are computed in place: (2 - z) * z has the bits of
+        # z * (2 - z), and no level-sized temporary is made.
         nxt = np.empty(2 * z.size)
-        nxt[0::2] = z * (2.0 - z)
-        nxt[1::2] = z * z
+        worse = np.subtract(2.0, z, out=nxt[0::2])
+        worse *= z
+        np.multiply(z, z, out=nxt[1::2])
         z = nxt
     return z
 

@@ -157,6 +157,34 @@ class TestConstruct:
             want = " ".join(map(str, json.loads(doc)["indices"]))
             assert out.splitlines()[1] == "indices = " + want
 
+    def test_json_streams_in_bounded_memory(self):
+        # rm(10, 20) prints 616,666 indices, about 5.5 MB of JSON, which
+        # go out a block at a time and are never held whole.
+        class HashSink(io.TextIOBase):
+            def __init__(self):
+                self.size, self.sha = 0, hashlib.sha256()
+
+            def write(self, text):
+                self.size += len(text)
+                self.sha.update(text.encode())
+                return len(text)
+
+        sink = HashSink()
+        tracemalloc.start()
+        try:
+            rc = main(["construct", "rm", "--n", "20", "--r", "10", "--json"],
+                      out=sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 12 << 20
+        indices = [h for h in range(1 << 20) if h.bit_count() >= 10]
+        want = json.dumps({"kind": "reed-muller", "n": 20, "order": 10,
+                           "indices": indices}).encode() + b"\n"
+        assert (sink.size, sink.sha.hexdigest()) == (
+            len(want), hashlib.sha256(want).hexdigest())
+
     @pytest.mark.parametrize("argv", [
         ["construct", "polar", "--eps", "0.5", "--n", "-1", "--k", "1"],
         ["construct", "polar", "--eps", "0.5", "--n", "-3", "--k", "0"],

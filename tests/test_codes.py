@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -9,9 +10,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polarfractal.codes import (IndexSet, _decimal_list, generator_matrix,
-                                heavy_membership, index_set_to_json,
-                                kronecker_row, matrix_from_bytes,
+from polarfractal import codes
+from polarfractal.codes import (IndexSet, decimal_blocks, generator_matrix,
+                                heavy_membership, index_set_json_blocks,
+                                index_set_to_json, kronecker_row,
+                                matrix_from_bytes, matrix_text_blocks,
                                 matrix_to_bytes, matrix_to_text,
                                 polar_index_set, rm_index_set)
 from polarfractal.errors import ResourceLimitError
@@ -406,8 +409,8 @@ class TestExports:
         assert peak < 16 << 20
 
     def test_text_export_holds_text_twice(self):
-        # 1536 rows of 2^11 bits: 3 MiB of text, held once in the row
-        # buffer and once in the returned bytes.
+        # 1536 rows of 2^11 bits: 3 MiB of text, held once in the blocks
+        # and once in the returned bytes.
         gm = generator_matrix(polar_index_set(0.4, 11, 1536))
         tracemalloc.start()
         try:
@@ -417,6 +420,45 @@ class TestExports:
             tracemalloc.stop()
         assert len(text) == 1536 * 2049
         assert peak < 2.5 * len(text)
+
+    def test_text_blocks_match_whole_export(self, monkeypatch):
+        # 1536 rows of 2049 text bytes span several 1 MiB blocks.
+        gm = generator_matrix(polar_index_set(0.4, 11, 1536))
+        want = np.full((1536, 2049), ord("\n"), dtype=np.uint8)
+        want[:, :-1] = gm.rows + ord("0")
+        blocks = list(matrix_text_blocks(gm))
+        assert len(blocks) > 2
+        assert all(b.nbytes <= codes._TEXT_BLOCK_BYTES for b in blocks)
+        assert b"".join(blocks) == matrix_to_text(gm) == want.tobytes()
+        # Blocks narrower than a row cut it into pieces, and only a row's
+        # last piece ends in a newline.
+        for size in (8, 16, 72, 4096):
+            monkeypatch.setattr(codes, "_TEXT_BLOCK_BYTES", size)
+            for index_set in (rm_index_set(0, 0), rm_index_set(1, 2),
+                              rm_index_set(2, 5), rm_index_set(3, 9),
+                              polar_index_set(0.4, 6, 23),
+                              polar_index_set(0.4, 6, 0)):
+                gm = generator_matrix(index_set)
+                assert (b"".join(matrix_text_blocks(gm))
+                        == per_cell_text(gm).encode())
+
+    def test_text_export_streams_in_bounded_memory(self):
+        # rm(13, 13) fills the 2^26-cell cap: 64 MiB of text, of which
+        # only a block is held at a time.
+        gm = generator_matrix(rm_index_set(13, 13))
+        sha, size = hashlib.sha256(), 0
+        tracemalloc.start()
+        try:
+            for block in matrix_text_blocks(gm):
+                sha.update(block)
+                size += block.nbytes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size == 8192 * 8193
+        assert peak < 4 << 20
+        assert sha.hexdigest() == ("829dd4d2825d13dc41d3cf8aede8de63"
+                                   "142f7d90e24463d608b6e588ce4052ff")
 
     def test_binary_header(self):
         gm = generator_matrix(rm_index_set(1, 3))
@@ -429,6 +471,10 @@ class TestExports:
         doc = json.loads(index_set_to_json(rm_index_set(1, 2)))
         assert doc == {"kind": "reed-muller", "n": 2, "order": 1,
                        "indices": [1, 2, 3]}
+
+
+def decimal_list(values, head, sep, tail):
+    return "".join(decimal_blocks(values, head, sep, tail))
 
 
 def reference_json(index_set):
@@ -451,7 +497,7 @@ class TestDecimalWriter:
         wide = [0, 9, 10 ** 17, 10 ** 18 - 1, 10 ** 18, (1 << 63) - 1]
         s = IndexSet(n=63, indices=wide, kind="heavy", meta={"rho": "1/3"})
         assert index_set_to_json(s) == reference_json(s)
-        assert (_decimal_list(s.array, "indices = ", " ", "")
+        assert (decimal_list(s.array, "indices = ", " ", "")
                 == "indices = " + " ".join(map(str, wide)))
 
     def test_digit_count_and_uint32_edges(self):
@@ -462,7 +508,7 @@ class TestDecimalWriter:
         for values in [[v] for v in edges] + [sorted(edges)]:
             array = np.array(values, dtype=np.int64)
             for sep in (" ", ", "):
-                assert (_decimal_list(array, "[", sep, "]")
+                assert (decimal_list(array, "[", sep, "]")
                         == "[" + sep.join(map(str, values)) + "]")
 
     def test_empty_single_and_full_sets(self):
@@ -476,8 +522,40 @@ class TestDecimalWriter:
         for s in sets:
             assert index_set_to_json(s) == reference_json(s)
             for sep in (" ", ", "):
-                assert (_decimal_list(s.array, "indices = ", sep, "")
+                assert (decimal_list(s.array, "indices = ", sep, "")
                         == "indices = " + sep.join(map(str, s.indices)))
+
+    def test_block_edges(self):
+        # 0, 1, B and B + 1 values, several blocks, and the digit-count
+        # step 99999 -> 100000 inside a block and on a block edge.
+        B = codes._DECIMAL_BLOCK
+        cases = [np.arange(0), np.arange(1), np.arange(B), np.arange(B + 1),
+                 7 * np.arange(3 * B + 5),
+                 np.arange(10 ** 5 - 10, 10 ** 5 - 10 + 2 * B),
+                 np.arange(10 ** 5 - B, 10 ** 5 + B)]
+        for values in cases:
+            s = IndexSet(n=26, indices=values, kind="reed-muller",
+                         meta={"order": 3})
+            blocks = list(index_set_json_blocks(s))
+            assert len(blocks) == 2 + -(-values.size // B)
+            assert "".join(blocks) == reference_json(s)
+            for sep in (" ", ", "):
+                assert (decimal_list(s.array, "indices = ", sep, "\n")
+                        == "indices = " + sep.join(map(str, values.tolist()))
+                        + "\n")
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5])
+    def test_small_blocks(self, monkeypatch, block):
+        # Every digit-count step falls at each offset in a block.
+        monkeypatch.setattr(codes, "_DECIMAL_BLOCK", block)
+        values = [0, 9, 10, 99, 100, 99999, 100000, 100001, 10 ** 9 - 1,
+                  10 ** 9, (1 << 32) - 1, 1 << 32, (1 << 63) - 1]
+        for k in range(len(values) + 1):
+            for chosen in (values[:k], values[k:]):
+                array = np.array(chosen, dtype=np.int64)
+                for sep in (" ", ", "):
+                    assert (decimal_list(array, "[", sep, "]")
+                            == "[" + sep.join(map(str, chosen)) + "]")
 
     def test_random_sets(self):
         rng = np.random.default_rng(5)

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -105,6 +106,37 @@ def test_composition_associativity(z, u, v):
 def test_leaf_values_depth_zero_and_one():
     assert list(bec_leaf_values(0.3, 0)) == [0.3]
     assert list(bec_leaf_values(0.5, 1)) == [0.75, 0.25]
+
+
+def two_temporary_leaves(eps, n):
+    """The level loop with a temporary per child array, as a reference."""
+    z = np.array([eps])
+    for _ in range(n):
+        nxt = np.empty(2 * z.size)
+        nxt[0::2] = z * (2.0 - z)
+        nxt[1::2] = z * z
+        z = nxt
+    return z
+
+
+def test_in_place_levels_keep_the_bits():
+    for eps in (0.0, -0.0, 1e-300, 0.3, 1.0):
+        for n in range(13):
+            got = bec_leaf_values(eps, n).tolist()
+            want = two_temporary_leaves(eps, n).tolist()
+            assert list(map(float.hex, got)) == list(map(float.hex, want))
+
+
+def test_leaf_levels_peak_memory():
+    # The last level (8 MiB at n = 20) and its parent (4 MiB) are all
+    # that is held; a temporary per child array would add 4 MiB.
+    tracemalloc.start()
+    try:
+        bec_leaf_values(0.415, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12.5 * (1 << 20)
 
 
 def test_leaf_order_matches_path_index():
