@@ -459,7 +459,7 @@ class TestContract:
 # which may differ between platforms.
 GOLDEN_STDOUT = {
     "threshold 6394/30375 --json":
-        "93e372755b3fce8728f96833e57f96428f2e84be5281d8abacd91612f9e1418e",
+        "7c2b1c16572b2d67386aec1c4329ee1746fd89cf46e3b66fbcb21c26d5175be1",
     "construct polar --eps 0.3 --n 12 --k 1000 --json":
         "4eea0914f927d6f296054bb336fbb50b8fca0f3d2a39197eacd381ed511b8ece",
     "construct rm --n 12 --r 5":
@@ -491,7 +491,7 @@ GOLDEN_STDOUT = {
     "construct polar --eps 0.5 --n 9 --k 200 --matrix-out":
         "8cfb0415a0150581264cd10980707be55cc0526f9957aef24fe141e5f56683c4",
     "threshold 6394/30375":
-        "e0795019da92c428b472214cc0db42a246d87d255f2e3dbe74a09beda81713ee",
+        "3759d1ff6d69b688c5fe9e97d37fd1843863ae51501d3f60c92f93bb72fb03d7",
     "measure --eps 0.5 --depths 10,16,20 --json":
         "a4fd9085d9467c8e64dfb06fffddd527f12ddbd573cb11aebe1ab8e02ba3bfa2",
     "measure --eps 0.3 --depths 3,26 --trials 5000 --seed 3 --json":

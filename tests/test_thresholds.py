@@ -1,6 +1,7 @@
 import decimal
 import math
 import random
+import time
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -13,8 +14,7 @@ from polarfractal.codes import polar_index_set
 from polarfractal.errors import ResourceLimitError, TrivialPeriodError
 from polarfractal.expansions import Variant, is_dyadic, real_to_expansion
 from polarfractal.polarization import apply_path
-from polarfractal.thresholds import (Certainty, FixedPointReport,
-                                     _bisect_root, period_fixed_points,
+from polarfractal.thresholds import (Certainty, period_fixed_points,
                                      threshold_curve,
                                      threshold_estimate_batch,
                                      threshold_of_rational)
@@ -101,33 +101,96 @@ class TestPeriodFixedPoints:
 
     @pytest.mark.parametrize("x", [Fraction(6394, 30375), Fraction(1, 100003),
                                    Fraction(2, 3), Fraction(5, 7)])
-    def test_long_periods_match_scalar_bracket_loop(self, x):
+    def test_long_periods_match_decimal_roots(self, x):
+        # Periods of 8100, 100002, 2 and 3 bits.
         period = real_to_expansion(x).period
-        assert period_fixed_points(period) == scalar_scan_report(period)
+        report = period_fixed_points(period)
+        assert report.interior_unique
+        assert_root_within(period, report.interior[0], 2)
 
-    def test_close_bracket_roots_all_reported(self, monkeypatch):
-        # A scan with three sign changes, at 1/4, 1/2 and 3/4, whose
-        # brackets bisect to roots of which two lie 1e-12 apart: each is
-        # reported, and the report is not unique.
-        def scan(grid, period):
-            return grid + np.where((grid > 0.25) & (grid < 0.5) | (grid > 0.75),
-                                   1.0, -1.0)
-
-        step = 1.0 / 4096
-        want = [0.3, 0.3 + 1e-12, 0.8]
-        brackets = []
-
-        def bisect(period, lo, hi, d_lo):
-            brackets.append((lo, hi))
-            return want[len(brackets) - 1]
-
-        monkeypatch.setattr(thresholds, "apply_path_array", scan)
-        monkeypatch.setattr(thresholds, "_bisect_root", bisect)
+    def test_ends_that_do_not_meet_give_two_roots(self, monkeypatch):
+        # Ends that stop apart, also after wide passes, are two roots,
+        # each with its complement, and the threshold of a rational with
+        # that period is flagged; ends 1 ulp apart are one root, the
+        # upper end's.
+        monkeypatch.setattr(thresholds, "_undo_ends",
+                            lambda rbits, *ends: (0.3, 0.7, 0.8, 0.2))
+        monkeypatch.setattr(thresholds, "_undo_wide",
+                            lambda rbits, z, y: (z, y))
         report = period_fixed_points([1, 0])
-        assert brackets == [(0.25, 0.25 + step), (0.5 - step, 0.5),
-                            (0.75, 0.75 + step)]
-        assert report.interior == tuple(want)
+        assert report.interior == (0.3, 0.8)
+        assert report.complements == (0.7, 0.2)
         assert not report.interior_unique
+        thresholds._threshold_cached.cache_clear()
+        try:
+            result = threshold_of_rational(Fraction(2, 3))
+        finally:
+            thresholds._threshold_cached.cache_clear()
+        assert result.multiplicity_flag and result.theta == 0.8
+        near = math.nextafter(0.3, 1.0)
+        monkeypatch.setattr(thresholds, "_undo_ends",
+                            lambda rbits, *ends: (0.3, 0.7, near, 0.7))
+        assert period_fixed_points([1, 0]).interior == (near,)
+        # Ends that stop apart, but whose wide passes meet, are one root.
+        monkeypatch.setattr(thresholds, "_undo_ends",
+                            lambda rbits, *ends: (0.3, 0.7, 0.8, 0.2))
+        monkeypatch.setattr(thresholds, "_undo_wide",
+                            lambda rbits, z, y: (0.5, 0.5))
+        report = period_fixed_points([1, 0])
+        assert report.interior == (0.5,) and report.complements == (0.5,)
+
+    @pytest.mark.parametrize("k", [27, 54])
+    def test_stalled_ends_of_weak_periods_meet(self, k):
+        # 0^(k-1) 1 contracts by about 1/2 a period, and for these k its
+        # binary64 ends stall 2 to 6 ulps apart around one root.
+        period = [0] * (k - 1) + [1]
+        report = period_fixed_points(period)
+        assert report.interior_unique
+        assert_root_within(period, report.interior[0], 1)
+
+    def test_root_below_start_is_reported(self):
+        # 0^499 1 has its root near 4^-499, below 1e-300, where the lower
+        # end starts: it is reported, not the start.
+        period = [0] * 499 + [1]
+        report = period_fixed_points(period)
+        assert report.interior_unique and report.interior[0] < 1e-300
+        assert_root_within(period, report.interior[0], 2)
+
+    @pytest.mark.parametrize("period", [[0] * 2000 + [1], [1] * 2000 + [0]])
+    def test_root_past_binary64_raises(self, period):
+        # Roots near 4^-2000 and 1 - 4^-2000: an end reaches z = 0.0 or
+        # y = 0.0, which is not reported as a root.
+        with pytest.raises(ResourceLimitError, match="too close to 0 or 1"):
+            period_fixed_points(period)
+
+    def test_pass_cap(self, monkeypatch):
+        # 10 converges by a factor of about 1.53 a period, so its ends
+        # meet only after several 32-step passes.
+        monkeypatch.setattr(thresholds, "_MAX_PASSES", 3)
+        with pytest.raises(ResourceLimitError, match="exceeds 3 passes"):
+            period_fixed_points([1, 0])
+
+    @pytest.mark.parametrize("bits,z,y", [
+        ((0,) * 48, 1e-300, 1.0), ((1,) * 48, 1.0, 1e-300),
+        ((0,) * 40, 5e-324, 1.0), ((1, 0, 0, 1) * 10, 0.3, 0.7),
+        ((1, 1, 0) * 11, 0.75, 0.25), ((0, 1) * 16, 1e-200, 1.0)])
+    def test_wide_steps_round_once(self, bits, z, y):
+        # The exact steps, from the start's accurate coordinate, against
+        # the pair steps in 120 digits: both coordinates correctly
+        # rounded, also where they end subnormal or underflow.
+        with decimal.localcontext() as ctx:
+            ctx.prec = 120
+            dz, dy = Decimal(z), Decimal(y)
+            dz, dy = (dz, 1 - dz) if z <= y else (1 - dy, dy)
+            for b in reversed(bits):
+                if b:
+                    s = dz.sqrt()
+                    dz, dy = s, dy / (1 + s)
+                else:
+                    s = dy.sqrt()
+                    dz, dy = dz / (1 + s), s
+            want = (float(dz), float(dy))
+        assert thresholds._undo_wide(bits[::-1], z, y) == want
 
     @pytest.mark.parametrize("period", [[0], [1], [0, 0], [1, 1, 1], []])
     def test_trivial_period_rejected(self, period):
@@ -145,31 +208,6 @@ class TestPeriodFixedPoints:
     def test_bad_bits_rejected(self, bad):
         with pytest.raises(ValueError):
             period_fixed_points(bad)
-
-
-def scalar_scan_report(period, resolution=4096):
-    """Fixed points found by the original scalar bracket loop over a grid
-    evaluated through every bit of the period, with no early exit."""
-    grid = np.linspace(0.0, 1.0, resolution + 1)[1:-1]
-    v = grid.copy()
-    for b in period:
-        v = v * v if b else v * (2.0 - v)
-    d = v - grid
-    roots, brackets = [], []
-    if d[0] > 0:
-        brackets.append((1e-300, float(grid[0]), -1.0))
-    for i in range(len(grid) - 1):
-        if d[i] == 0.0:
-            roots.append(float(grid[i]))
-        elif d[i] * d[i + 1] < 0:
-            brackets.append((float(grid[i]), float(grid[i + 1]), float(d[i])))
-    if d[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    elif d[-1] < 0:
-        brackets.append((float(grid[-1]), math.nextafter(1.0, 0.0),
-                         float(d[-1])))
-    roots += [_bisect_root(period, lo, hi, d_lo) for lo, hi, d_lo in brackets]
-    return FixedPointReport(tuple(sorted(roots)))
 
 
 class TestThresholdOfRational:
@@ -234,10 +272,71 @@ class TestThresholdOfRational:
         with pytest.raises(ValueError):
             threshold_of_rational(Fraction(7, 5))
 
+    @pytest.mark.parametrize("a,k", [(0, 60), (0xABCDE, 24),
+                                     ((1 << 40) - 3, 40), (5, 200),
+                                     pytest.param(0xFFFFF << 99980, 100000,
+                                                  id="1^20-0^99980")])
+    def test_preamble_pulled_back_exactly(self, a, k):
+        # x = (a + 1/3) / 2^k: theta is the correctly rounded pull-back of
+        # the reported root, from its more accurate coordinate, through a
+        # preamble of up to 10^5 bits, as 60-digit pair steps give it.
+        # 1^20 0^99980 takes z near 2^-99980, far below binary64, before
+        # 20 square roots bring it back near 0.94.
+        spec = real_to_expansion(Fraction(3 * a + 1, 3 << k))
+        assert len(spec.preamble) >= 20
+        report = period_fixed_points(spec.period)
+        root, comp = report.interior[-1], report.complements[-1]
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            z = Decimal(root) if root <= comp else 1 - Decimal(comp)
+            y = 1 - z if root <= comp else Decimal(comp)
+            for b in reversed(spec.preamble):
+                if b:
+                    s = z.sqrt()
+                    z, y = s, y / (1 + s)
+                else:
+                    s = y.sqrt()
+                    z, y = z / (1 + s), s
+            want = float(z)
+        assert threshold_of_rational(Fraction(3 * a + 1, 3 << k)).theta == want
+
+    def test_long_preamble_cost(self):
+        # A wide step costs the same at any scale, so a 10^5-bit preamble
+        # takes about 0.2 s; theta, near 0.38 * 2^-100000, rounds to 0.
+        start = time.process_time()
+        assert threshold_of_rational(Fraction(1, 3 << 100000)).theta == 0.0
+        assert time.process_time() - start < 10.0
+
+    @pytest.mark.parametrize("k", range(9, 31))
+    def test_near_one_roots(self, k):
+        # x = (2^k - 1)/(2^(k+1) - 1) = 0.(0 1^k), 511/1023 at k = 9, has
+        # theta near 1 - 2^-k, which takes the upper end's y to resolve:
+        # within 2 ulps of its 60-digit root, and complementary to
+        # theta(1 - x) up to the rounding of their sum.
+        x = Fraction((1 << k) - 1, (1 << (k + 1)) - 1)
+        spec = real_to_expansion(x)
+        assert spec.period == (0,) + (1,) * k and not spec.preamble
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            want = decimal_bisect(spec.period, Decimal(0), Decimal(1), 200)
+        theta = threshold_of_rational(x).theta
+        assert abs(Decimal(theta) - want) <= 2 * Decimal(math.ulp(theta))
+        assert symmetry_defect(x) <= 2.0 ** -52
+
+    def test_pinned_threshold_digits(self):
+        # tests/test_cli.py pins the digits of theta(6394/30375), whose
+        # 8100-bit period has no preamble: its root is within 0.5 ulp.
+        x = Fraction(6394, 30375)
+        spec = real_to_expansion(x)
+        assert len(spec.period) == 8100 and not spec.preamble
+        theta = threshold_of_rational(x).theta
+        assert theta == 0.41864925646825829
+        assert_root_within(spec.period, theta, 0.5)
+
     @pytest.mark.parametrize("k", range(20, 26))
     def test_top_edge_root(self, k):
-        # x = 0.[1^k 0] has theta = 1 - 2^(-2k), above 1 - 1e-12: the top
-        # edge bracket must reach it, and 1 - x gives the complement.
+        # x = 0.[1^k 0] has theta = 1 - 2^(-2k), above 1 - 1e-12: the
+        # upper end must resolve it in y, and 1 - x gives the complement.
         q = (1 << (k + 1)) - 1
         x = Fraction(q - 1, q)
         theta = threshold_of_rational(x).theta
@@ -550,6 +649,18 @@ def decimal_bisect(bits, lo, hi, halvings):
     return (lo + hi) / 2
 
 
+def assert_root_within(bits, root, ulps):
+    """A root of p(z) = z lies within ``ulps`` ulps of ``root``: in 60
+    digits, p(z) < z at root - ulps ulps and p(z) > z at root + ulps ulps,
+    the signs on either side of a repelling root."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        step = Decimal(ulps) * Decimal(math.ulp(root))
+        lo, hi = Decimal(root) - step, Decimal(root) + step
+        assert decimal_path(lo, bits) < lo, (root, ulps)
+        assert decimal_path(hi, bits) > hi, (root, ulps)
+
+
 def decimal_root(bits, halvings=170):
     """The interior root of p(z) = z for a period with one, bisected on
     [0, 1] in 50-digit decimal arithmetic."""
@@ -577,10 +688,10 @@ def decimal_preimage(preamble, zeta, halvings=170):
 
 
 def test_estimates_match_decimal_roots():
-    # 300 random 10-bit periods with one sign change of p(z) - z on the
-    # scan grid; the worst is 5.1e-15, at theta near 0.84.
+    # 300 random 10-bit periods with one sign change of p(z) - z on a
+    # 4096-step grid; the worst is 5.1e-15, at theta near 0.84.
     rng = np.random.default_rng(1510)
-    grid = thresholds._SCAN_GRID
+    grid = np.linspace(0.0, 1.0, (1 << 12) + 1)[1:-1]
     rows = []
     while len(rows) < 300:
         bits = rng.integers(0, 2, 10)
