@@ -170,17 +170,18 @@ def measure_scan(eps: float, depths: Sequence[int], delta: float = 1e-3,
                  threads: int = 1) -> list[MeasureEstimate]:
     """Fraction of depth-n channels already close to perfect or useless.
 
-    A leaf counts as good when z <= delta and bad when z >= 1 - delta.
-    Depths up to 24 are counted exactly, all in one pruned pass;
-    beyond that paths are Monte Carlo sampled, which requires ``mc_trials``
-    and ``seed``.  All sampled depths are read off the same paths, so their
-    rows are correlated.  The fractions trend toward 1 - eps and eps.
+    A leaf counts as good when z <= delta and bad when z >= 1 - delta,
+    0 < delta < 1/2.  Depths up to 24 are counted exactly, all in one
+    pass that stops splitting a node once every leaf below it is sure to
+    be good, or bad (``bec_leaf_counts``); beyond that paths are Monte
+    Carlo sampled, which requires ``mc_trials`` and ``seed``.  All sampled
+    depths are read off the same paths, so their rows are correlated.  The
+    fractions trend toward 1 - eps and eps.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    if not 0.0 < delta < 0.5:
-        raise ValueError(f"delta must lie in (0, 0.5), got {delta}")
-    # Exact depths come from one pass; checks still run in depth order.
+    # Exact depths come from one pass, which also checks delta; depth
+    # checks still run in depth order.
     exact = [n for n in depths if 0 <= n <= MAX_LEAF_LIST_DEPTH]
     exact_counts = dict(zip(exact, bec_leaf_counts(eps, exact, delta)))
     # Sampled depths share paths, drawn once when the first is reached.

@@ -7,6 +7,7 @@ the worse step only gives an upper bound.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -103,29 +104,90 @@ def bec_leaf_values(eps: float, n: int) -> np.ndarray:
             f"2^{n} leaves exceed the list budget (depth <= {MAX_LEAF_LIST_DEPTH})")
     z = np.array([eps])
     for _ in range(n):  # first-bit-major order
-        # Children are computed in place: (2 - z) * z has the bits of
-        # z * (2 - z), and no level-sized temporary is made.
-        nxt = np.empty(2 * z.size)
-        worse = np.subtract(2.0, z, out=nxt[0::2])
-        worse *= z
-        np.multiply(z, z, out=nxt[1::2])
-        z = nxt
+        z = _split(z)
     return z
+
+
+def _split(z: np.ndarray) -> np.ndarray:
+    """The worse and the better child of each node, interleaved.
+
+    Children are computed in place: (2 - z) * z has the bits of
+    z * (2 - z), and no level-sized temporary is made.
+    """
+    children = np.empty(2 * z.size)
+    worse = np.subtract(2.0, z, out=children[0::2])
+    worse *= z
+    np.multiply(z, z, out=children[1::2])
+    return children
+
+
+def _worse_max(z: float) -> float:
+    """Largest rounded worse step v * (2 - v) over 0 <= v <= z, for z <= 1/2.
+
+    The rounded step is not monotone.  Where 2 - v rounds down by 2^-52,
+    at each odd multiple of 2^-53, the product can fall by an ulp.  It is
+    non-decreasing between two such points, and the value at the end of
+    each run is larger than at the end of the run before.  So the largest
+    value is at z or at the end of the run before z's: c - 2^-53 or the
+    float below it, where c = 2 - (2 - z) is exact.
+    """
+    end = (2.0 - (2.0 - z)) - 2.0 ** -53
+    return max(v * (2.0 - v) for v in (z, end, math.nextafter(end, -1.0)))
+
+
+def _settled_bounds(delta: float, top: int) -> tuple[list[float], list[float]]:
+    """Binary64 bounds g[d] and h[d], d = 0..top, for 0 < delta < 1/2.
+
+    Every path of d steps from a z <= g[d] stays <= delta, and every path
+    of d steps from a z >= h[d] stays >= 1 - delta.  g[d] is the largest
+    z with ``_worse_max(z) <= g[d-1]``, h[d] the smallest z with
+    z * z >= h[d-1]; both functions are non-decreasing, so each is an
+    exact float boundary.  By induction on d, as z * z <= z <= z * (2 - z):
+    z <= g[d] gives z * z <= g[d] <= g[d-1] and z * (2 - z) <= g[d-1],
+    and z >= h[d] gives z * z >= h[d-1] and z * (2 - z) >= h[d] >= h[d-1].
+    Each bound starts from its real root, g / (1 + sqrt(1 - g)) (free of
+    the cancellation in 1 - sqrt(1 - g)) or sqrt(h), and moves a few
+    ``math.nextafter`` steps.
+    """
+    g, h = [delta], [1.0 - delta]
+    for _ in range(top):
+        t = g[-1]
+        z = t / (1.0 + math.sqrt(1.0 - t))
+        while _worse_max(z) > t:
+            z = math.nextafter(z, -1.0)
+        while _worse_max(up := math.nextafter(z, 1.0)) <= t:
+            z = up
+        g.append(z)
+        t = h[-1]
+        z = math.sqrt(t)
+        while z * z < t:
+            z = math.nextafter(z, 2.0)
+        while (down := math.nextafter(z, 0.0)) * down >= t:
+            z = down
+        h.append(z)
+    return g, h
 
 
 def bec_leaf_counts(eps: float, depths: Sequence[int],
                     delta: float) -> list[tuple[int, int]]:
     """Exact numbers of good (z <= delta) and bad (z >= 1 - delta) leaves
-    at each depth in ``depths``, in one pass down to the deepest, D.  Below
-    the first max(0, D - 20) levels each sub-tree is split on its own, so
-    at most 2^20 values are live.  A node that is exactly 0.0 or 1.0,
-    which both maps fix, is not split but counted for all its
-    descendants; only a square reaches 0.0, only a worse step 1.0.
+    at each depth in ``depths``, in one pruned pass down to the deepest, D,
+    for 0 < delta < 1/2.  Below the first max(0, D - 20) levels each
+    sub-tree is split on its own, so at most 2^20 values are live.
+
+    A node with d levels left to D is not split once it is <= g[d] or
+    >= h[d] (``_settled_bounds``): every path below it then stays good, or
+    bad, down to D, so it counts as good or bad for all its descendants at
+    each deeper requested depth, and the counts are exact.  0.0 and 1.0,
+    which both maps fix, prune at any delta.
     """
+    if not 0.0 < delta < 0.5:
+        raise ValueError(f"delta must lie in (0, 0.5), got {delta}")
     top = max(depths, default=0)
     if top > MAX_LEAF_LIST_DEPTH:
         raise ResourceLimitError(
             f"exact counts are capped at depth {MAX_LEAF_LIST_DEPTH}")
+    g, h = _settled_bounds(delta, top)
     split = max(0, top - _SUBTREE_DEPTH)
     counts = {}
     for n in depths:
@@ -133,18 +195,17 @@ def bec_leaf_counts(eps: float, depths: Sequence[int],
         counts[n] = [np.count_nonzero(z <= delta),
                      np.count_nonzero(z >= 1.0 - delta)]
     for root in bec_leaf_values(eps, split):
-        zeros = ones = 0
-        worse, better = np.array([root]), np.empty(0)
+        good = bad = 0
+        z = np.array([root])
         for depth in range(split + 1, top + 1):
-            live_w, live_b = worse != 1.0, better != 0.0
-            zeros = 2 * (zeros + live_b.size - np.count_nonzero(live_b))
-            ones = 2 * (ones + live_w.size - np.count_nonzero(live_w))
-            z = np.concatenate((worse[live_w], better[live_b]))
-            worse, better = z * (2.0 - z), z * z
+            left = top - depth + 1  # steps from z's level down to D
+            settled_good = z <= g[left]
+            settled_bad = z >= h[left]
+            good = 2 * (good + np.count_nonzero(settled_good))
+            bad = 2 * (bad + np.count_nonzero(settled_bad))
+            z = _split(z[~(settled_good | settled_bad)])
             if depth in counts:
                 c = counts[depth]
-                c[0] += zeros + np.count_nonzero(worse <= delta) \
-                    + np.count_nonzero(better <= delta)
-                c[1] += ones + np.count_nonzero(worse >= 1.0 - delta) \
-                    + np.count_nonzero(better >= 1.0 - delta)
+                c[0] += good + np.count_nonzero(z <= delta)
+                c[1] += bad + np.count_nonzero(z >= 1.0 - delta)
     return [(int(good), int(bad)) for good, bad in map(counts.get, depths)]

@@ -466,6 +466,11 @@ GOLDEN_STDOUT = {
         "c46836f45416f822e4f15ca9c5259a533300e3a64d43ef7a2ae38a2f0c3d20b1",
     "measure --eps 0.5 --depths 10,16,20":
         "41f3c6e213de063d65080bb85636d10e578ee8d6c27f9584a98918e41a89343f",
+    # Depths 22 and 24 go through the sub-tree split of the exact counts.
+    "measure --eps 0.323 --depths 10,16,20,22,24":
+        "acbc93bc37a9ab26cea997567fc23352469ee7cb02efdce2f9fa7ab01c668ea4",
+    "measure --eps 0.7 --depths 24 --delta 1e-12 --json":
+        "d508687f1cef5bbd099ac63b96364676b48980e0b589e415cd4c5d90e6ea8a93",
     "plot-fractal -m 8 --json":
         "0b0615307f4a556d398fad9542e299271b6278e2cf2b55d5105b64bcf4008f66",
     "plot-fractal -m 11 --json":

@@ -161,13 +161,17 @@ def test_leaf_mean_at_depth_twenty():
     assert abs(leaves.mean() - 0.5) <= 1e-12
 
 
-@pytest.mark.parametrize("eps", [1e-3, 0.3, 0.5, 0.7, 0.999])
-@pytest.mark.parametrize("delta", [1e-3, 0.1])
+@pytest.mark.parametrize("eps", [1e-3, 0.3, 0.5, 0.7, 0.999, 1e-300,
+                                 1.0 - 2.0 ** -27])
+@pytest.mark.parametrize("delta", [1e-3, 0.1, 1e-300, 0.4999])
 @pytest.mark.parametrize("subtree_depth", [8, 20])
 def test_leaf_counts_match_full_enumeration(eps, delta, subtree_depth,
                                             monkeypatch):
     # Every depth up to 16 in one pass, out of order and with a repeat;
     # subtree depth 8 splits the deep levels into one sub-tree per node.
+    # delta 1e-300 settles little but 0.0 and 1.0, delta 0.4999 the most;
+    # eps 1e-300 and 1 - 2^-27 start next to 0 and 1, where most delta
+    # settle the root at once.
     monkeypatch.setattr(polarization, "_SUBTREE_DEPTH", subtree_depth)
     depths = [16, *range(16), 7]
     got = bec_leaf_counts(eps, depths, delta)
@@ -187,6 +191,138 @@ def test_leaf_counts_domain():
         bec_leaf_counts(1.5, [3], 0.1)
     with pytest.raises(ResourceLimitError):
         bec_leaf_counts(0.5, [25], 0.1)
+    # The bounds need good and bad to be apart and delta positive.
+    for delta in (0.0, -0.1, 0.5, 0.7, math.nan):
+        with pytest.raises(ValueError):
+            bec_leaf_counts(0.5, [3], delta)
+
+
+def adjacent_pairs():
+    """Binary64 z in [0, 1) with nextafter(z, 1): random, subnormal,
+    near 0, near 0.5 and near 1."""
+    rng = np.random.default_rng(7)
+    tiny = 5e-324 * np.arange(0, 4000, dtype=np.float64)
+    edges = []
+    for c, way in ((0.5, -1.0), (0.5, 1.0), (np.nextafter(1.0, 0.0), -1.0)):
+        z = np.full(3000, c)
+        for i in range(1, 3000):
+            z[i] = np.nextafter(z[i - 1], way)
+        edges.append(z)
+    z = np.concatenate([rng.random(50_000), tiny, *edges,
+                        2.0 ** -np.arange(1, 1075, dtype=np.float64)])
+    z = z[z < 1.0]
+    return z, np.nextafter(z, 1.0)
+
+
+def test_step_maps_in_binary64():
+    # The prune in bec_leaf_counts rests on these facts of the rounded
+    # steps, not of the real maps.
+    z, up = adjacent_pairs()
+    assert (z * z <= up * up).all()
+    for v in (z, up):
+        assert (v * v <= v).all() and (v <= v * (2.0 - v)).all()
+    # The rounded worse step can fall by one ulp where 2 - z rounds down,
+    # so the good bound uses its running maximum.
+    worse_z, worse_up = z * (2.0 - z), up * (2.0 - up)
+    falls = worse_z > worse_up
+    assert falls.any() and (z[falls] < 0.5).any()
+    assert (np.nextafter(worse_up, 1.0) >= worse_z).all()
+    half = z <= 0.5
+    worse_max = np.vectorize(polarization._worse_max)
+    m_z, m_up = worse_max(z[half]), worse_max(up[half])
+    assert (m_z <= m_up).all() and (worse_z[half] <= m_z).all()
+
+
+# The step falls at 5.960464466436832e-08 and 0.031098566700671237.
+@pytest.mark.parametrize("near", [0.0, 2.0 ** -40, 5.960464466436832e-08,
+                                  2.0 ** -12, 0.031098566700671237, 0.0624,
+                                  0.2, 0.24, 0.3, 0.45, 0.499])
+def test_worse_max_is_the_running_maximum(near):
+    # Around the last point at or below ``near`` where 2 - v rounds down
+    # by 2^-52, an odd multiple of 2^-53, _worse_max is at least the
+    # running maximum of the rounded worse step over 4001 floats, and
+    # equal to it once the window holds the run that ends there.
+    start = (2 * math.floor(near * 2.0 ** 52) + 1) * 2.0 ** -53
+    z = np.full(4001, start)
+    for i in range(2000, 0, -1):
+        z[i - 1] = np.nextafter(z[i], -1.0)
+    for i in range(2000, 4000):
+        z[i + 1] = np.nextafter(z[i], 1.0)
+    running = np.maximum.accumulate(z * (2.0 - z))
+    got = np.array([polarization._worse_max(v) for v in z])
+    assert (got >= running).all()
+    assert (got[2001:] == running[2001:]).all()
+
+
+def steps(f, z, d):
+    for _ in range(d):
+        z = f(z)
+    return z
+
+
+# 0.4313244888898547 takes two nextafter steps from its real root.
+BOUND_DELTAS = [5e-324, 1e-300, 1e-12, 1e-3, 0.4215047901649089,
+                0.4313244888898547, 0.4999]
+
+
+@pytest.mark.parametrize("delta", BOUND_DELTAS)
+def test_settled_bounds_are_exact_float_boundaries(delta):
+    g, h = polarization._settled_bounds(delta, 24)
+    assert len(g) == len(h) == 25
+    worse_max = polarization._worse_max
+    for d in range(25):
+        above_g, below_h = math.nextafter(g[d], 1.0), math.nextafter(h[d], 0.0)
+        assert steps(worse_max, g[d], d) <= delta < steps(worse_max, above_g, d)
+        assert apply_path(g[d], [0] * d) <= delta
+        better_d = apply_path_array(np.array([h[d], below_h]), [1] * d)
+        assert better_d[0] >= 1.0 - delta > better_d[1], d
+
+
+@pytest.mark.parametrize("eps, delta", [
+    (0.23941127418617944, 0.4215047901649089),
+    (0.24758769858600957, 0.4338757286809024)])
+def test_leaf_counts_where_the_worse_step_falls(eps, delta):
+    # A float just above eps has its worse step <= delta but eps has not:
+    # a bound at the largest z whose own worse step is <= delta would
+    # count both children of eps as good.
+    above = math.nextafter(eps, 1.0)
+    assert above * (2.0 - above) <= delta < eps * (2.0 - eps)
+    for depths in ([1], [1, 2, 3], [6]):
+        want = []
+        for n in depths:
+            z = bec_leaf_values(eps, n)
+            want.append((int((z <= delta).sum()), int((z >= 1.0 - delta).sum())))
+        assert bec_leaf_counts(eps, depths, delta) == want
+
+
+@pytest.mark.parametrize("eps, delta", [(0.5, 1e-3), (0.323, 0.4999),
+                                        (0.9, 1e-300), (0.2, 1e-12)])
+def test_leaf_counts_split_only_unsettled_nodes(eps, delta, monkeypatch):
+    # The pass splits every node above the sub-tree roots, and below them
+    # exactly the nodes that the bounds leave unsettled: with d levels
+    # left, d running-maximum worse steps end above delta and d better
+    # steps below 1 - delta.
+    top, split = 14, 3
+    monkeypatch.setattr(polarization, "_SUBTREE_DEPTH", top - split)
+    split_sizes = []
+
+    def counting_split(z):
+        split_sizes.append(z.size)
+        return real_split(z)
+
+    real_split = polarization._split
+    monkeypatch.setattr(polarization, "_split", counting_split)
+    bec_leaf_counts(eps, [top], delta)
+    monkeypatch.undo()
+    worse_max = np.vectorize(lambda z, d: steps(polarization._worse_max, z, d))
+    want = (1 << split) - 1
+    for k in range(split, top):
+        z = bec_leaf_values(eps, k)
+        unsettled = ((worse_max(z, top - k) > delta)
+                     & (apply_path_array(z, [1] * (top - k)) < 1.0 - delta))
+        want += int(unsettled.sum())
+    assert sum(split_sizes) == want
+    assert want < (1 << top) - 1
 
 
 def test_leaf_list_resource_limit():
