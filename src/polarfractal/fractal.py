@@ -21,8 +21,8 @@ import numpy as np
 
 from .codes import heavy_membership
 from .errors import ResourceLimitError
-from .polarization import MAX_LEAF_LIST_DEPTH, bec_leaf_counts
-from .thresholds import _apply_rows, _step_constants, threshold_of_rational
+from .polarization import MAX_LEAF_LIST_DEPTH, _apply_rows, bec_leaf_counts
+from .thresholds import threshold_of_rational
 from .expansions import is_dyadic
 
 # Fixed Monte Carlo chunk so results never depend on the thread count:
@@ -148,8 +148,8 @@ def _step_major(packed: np.ndarray, n: int) -> np.ndarray:
 def _bec_leaf_samples(packed: np.ndarray, eps: float,
                       depths: Sequence[int]) -> list[np.ndarray]:
     """z at each of the increasing ``depths`` along the packed paths, a
-    1 bit being the worse step z -> z^2 and a 0 bit z -> z(2 - z), by the
-    signed step of ``thresholds._apply_rows``, which returns |s| and so
+    1 bit being the better step z -> z^2 and a 0 bit z -> z(2 - z), by the
+    signed step of ``polarization._apply_rows``, which returns |s| and so
     restarts positive at each depth.  Bits are unpacked 64 steps at a
     time, so deep paths stay packed."""
     z = np.full(packed.shape[0], eps)
@@ -159,7 +159,7 @@ def _bec_leaf_samples(packed: np.ndarray, eps: float,
         bits = _step_major(packed[:, start // 8:start // 8 + 8], stop - start)
         cuts = [t for t in depths if start < t < stop] + [stop]
         for a, b in zip([start] + cuts, cuts):
-            z = _apply_rows(z, _step_constants(bits[a - start:b - start]))
+            z = _apply_rows(z, bits[a - start:b - start])
             if b in depths:
                 out.append(z)
     return out

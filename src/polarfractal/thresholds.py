@@ -1,4 +1,4 @@
-"""Polarization thresholds for rationals and bit prefixes.
+"""Polarization thresholds of rationals and bit prefixes, by inverse maps.
 
 The recurring part of a binary expansion drives an iterated function
 system z -> p_period(z) with attracting fixed points at 0 and 1.  The
@@ -6,11 +6,12 @@ interior (repelling) fixed point of that map, pulled back through the
 preamble map, is the critical BEC erasure probability below which the
 channel indexed by x polarizes to perfect and above which to useless.
 
-Roots come from inverse iteration on (z, y = 1 - z), ended by 96-bit
-steps that round a root and 1 - root once each (sampled roots are within
-1 ulp).  As uniqueness is open, ``FixedPointReport.interior`` holds one
-root, or both ends if they do not meet.  Costs are linear: 0.23 s for
-1/1048573 (2^20-bit period), 0.2 s for a 10^5-bit preamble (2-core Xeon).
+Every root comes from inverse iteration on (z, y = 1 - z).  Thresholds
+end it, preamble included, in 96-bit steps that round theta once (sampled
+within 1 ulp); plot rows stay in binary64 (a few ulps).  Uniqueness is
+open: ``FixedPointReport.interior`` holds one root, or both ends if they
+do not meet, of which thresholds and the plot take the largest.  Costs
+are linear: 0.23 s for 1/1048573, 0.2 s for a 10^5-bit preamble (Xeon).
 """
 
 from __future__ import annotations
@@ -30,11 +31,8 @@ from .expansions import _as_bits, is_dyadic, real_to_expansion
 # Entries kept by the threshold cache (least recently used evicted first).
 _THRESHOLD_CACHE_SIZE = 1 << 12
 
-# Rows of the prefix estimator run together; they are independent.
-_ROW_BLOCK = 1 << 12
-# Prefix bits (rows x bits) of one estimator call, fewer rows than
-# ``_ROW_BLOCK`` counted as a block: a halving step of a few rows still
-# costs a good part of a block's, and their orbits can run the full depth.
+# Prefix bits (rows x bits) of one estimator call, fewer rows than 2^12
+# charged as 2^12: numpy's cost per call rules a step over a few rows.
 _MAX_PLOT_BITS = 1 << 24
 
 # Wide closing steps of a root, their mantissa bits, passes of a search.
@@ -115,12 +113,15 @@ def _converge(step, ends=(1e-300, 1.0, 1.0, 1e-300)) -> tuple[tuple, bool]:
     raise ResourceLimitError(f"root search exceeds {_MAX_PASSES} passes")
 
 
-def period_fixed_points(period: Sequence[int]) -> FixedPointReport:
-    """Interior fixed points of the period map, increasing, and 1 - each.
-    Ends at (z, y) = (1e-300, 1) and (1, 1e-300) move monotonically to the
-    extreme roots by passes of p^-1 that stop ``_WIDE_STEPS`` steps short,
-    which the upper end (or both, apart) takes wide; stalled ends pass wide."""
-    period = _as_bits(period)
+def period_fixed_points(period: Sequence[int],
+                        preamble: Sequence[int] = ()) -> FixedPointReport:
+    """Interior fixed points of the period map, increasing, and 1 - each,
+    pulled back through the map of ``preamble``.  Ends at (z, y) =
+    (1e-300, 1) and (1, 1e-300) move monotonically to the extreme roots by
+    passes of p^-1 that stop ``_WIDE_STEPS`` steps short, which the upper
+    end (or both, apart) takes wide, then the reversed preamble in the same
+    wide run, so a root rounds once; stalled ends pass wide."""
+    period, preamble = _as_bits(period), _as_bits(preamble)
     if not period or 0 not in period or 1 not in period:
         raise TrivialPeriodError(
             f"period {period!r} has no interior fixed point; only the "
@@ -132,7 +133,8 @@ def period_fixed_points(period: Sequence[int]) -> FixedPointReport:
     if not met:
         ends, met = _converge(lambda e: (_undo_wide(rrot, *e[:2])
                                          + _undo_wide(rrot, *e[2:])), ends)
-    roots = [_undo_wide(rtail, *ends[i:i + 2]) for i in range(2 * met, 4, 2)]
+    rpull = rtail + preamble[::-1]
+    roots = [_undo_wide(rpull, *ends[i:i + 2]) for i in range(2 * met, 4, 2)]
     return FixedPointReport(*map(tuple, zip(*roots)))
 
 
@@ -141,10 +143,8 @@ def _threshold_cached(x: Fraction) -> ThresholdResult:
     if is_dyadic(x):
         return ThresholdResult(x, 1.0, Certainty.EXACT_BEC, False)
     spec = real_to_expansion(x)
-    report = period_fixed_points(spec.period)
-    theta, _ = _undo_wide(spec.preamble[::-1], report.interior[-1],
-                          report.complements[-1])
-    return ThresholdResult(x, theta, Certainty.EXACT_BEC,
+    report = period_fixed_points(spec.period, spec.preamble)
+    return ThresholdResult(x, report.interior[-1], Certainty.EXACT_BEC,
                            not report.interior_unique)
 
 
@@ -162,58 +162,24 @@ def threshold_of_rational(x: Fraction | int | str) -> ThresholdResult:
     return _threshold_cached(x)
 
 
-def _apply_rows(v: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """The prefix map of every row: s = +-z goes to s * (D[j] - s) with
-    D[j] = ``steps[j]``, 0 for a 1 bit (-(z * z)) and 2 with the sign of s
-    for a 0 bit (z * (2 - z)), the products of ``apply_path`` up to an
-    exact sign.  Both maps fix 0.0 and 1.0, so the walk stops once every
-    |s| is one of them; this is checked after 16, 32, 64, ... bits."""
-    s = v.copy()
-    t = np.empty_like(s)
-    for j, d in enumerate(steps, 1):
-        np.subtract(d, s, out=t)
-        np.multiply(s, t, out=s)
-        if j >= 16 and j & (j - 1) == 0:
-            a = np.abs(s, out=t)
-            if ((a == 0.0) | (a == 1.0)).all():
-                break
-    return np.abs(s, out=s)
-
-
-def _step_constants(bits: np.ndarray) -> np.ndarray:
-    """D[j] of ``_apply_rows`` for a (steps, rows) 0/1 matrix whose walk
-    starts at s > 0: 0 for a 1 bit, which leaves s negative as -(z * z),
-    and for a 0 bit 2, or -2 after a 1 bit; as 2 (1 - b[j]) (1 - 2 b[j-1])
-    in int8, which is several times faster than masked assignment."""
-    b = np.ascontiguousarray(bits, dtype=np.int8)
-    d = 1 - b
-    d[0] *= 2
-    d[1:] *= 2 - 4 * b[:-1]
-    return d.astype(np.float64)
-
-
 def _max_prefix_bits(rows: int) -> int:
     """Longest prefix the estimator takes in a batch of ``rows`` rows."""
-    return _MAX_PLOT_BITS // max(rows, _ROW_BLOCK)
+    return _MAX_PLOT_BITS // max(rows, 1 << 12)
 
 
 def threshold_estimate_batch(prefixes: np.ndarray) -> np.ndarray:
-    """Threshold estimates for the rows of a 0/1 matrix of prefixes,
-    bisected in lockstep.  Each prefix is taken to repeat forever, which
-    gives the threshold of the rational with that expansion period: a
-    plotting approximation, as the paper's thresholds need infinite sequences.
+    """Threshold estimates for the rows of a 0/1 matrix of prefixes, each
+    taken to repeat forever: the threshold of the rational with that
+    period, a plotting approximation of the paper's infinite sequences.
 
-    Each row takes up to 60 halvings of [0, 1], on the sign of p(mid) - mid
-    for its prefix map p, so the absolute resolution is 2^-60.  A midpoint
-    with p(mid) == mid, or equal to an end of its bracket, moves no bracket
-    again, so a block stops once a halving moves none.  The bisection
-    assumes one interior root; a prefix with several returns one of them
-    and is not flagged.  Rows are independent, so they run in blocks of
-    ``_ROW_BLOCK``, which bounds the memory of the per-bit constants.
-    Prefixes longer than ``_max_prefix_bits`` raise ``ResourceLimitError``.
+    A row gets its largest interior root, as ``threshold_of_rational``,
+    from the upper end of ``period_fixed_points`` in binary64, all rows at
+    once: passes of p^-1 from (z, y) = (1, 1e-300) until the pair repeats.
+    All-0 rows give 0.0, all-1 rows 1.0.  Rows are read by column (an
+    F-ordered matrix is not copied).  Prefixes past ``_max_prefix_bits``,
+    or ``_MAX_PASSES`` passes, raise ``ResourceLimitError``.
     """
     rows = np.asarray(prefixes)
-    # Before the 0/1 check, whose temporaries are the size of the matrix.
     if rows.ndim == 2:
         cap = _max_prefix_bits(rows.shape[0])
         if rows.shape[1] > cap:
@@ -221,23 +187,34 @@ def threshold_estimate_batch(prefixes: np.ndarray) -> np.ndarray:
                                      f"exceed {cap}, the cap at "
                                      f"{rows.shape[0]} rows")
     if (rows.ndim != 2 or rows.shape[1] == 0 or rows.dtype.kind not in "biu"
-            or ((rows != 0) & (rows != 1)).any()):
+            or rows.size and (rows.min() < 0 or rows.max() > 1)):
         raise ValueError("prefixes must be a non-empty 2-d matrix of 0/1 "
                          "integers or bools")
-    estimates = np.empty(rows.shape[0])
-    for first in range(0, rows.shape[0], _ROW_BLOCK):
-        steps = _step_constants(rows[first:first + _ROW_BLOCK].T)
-        lo, hi = np.zeros(steps.shape[1]), np.ones(steps.shape[1])
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            d = _apply_rows(mid, steps) - mid
-            up, down = (d < 0) & (mid != lo), (d > 0) & (mid != hi)
-            if not (up.any() or down.any()):
-                break
-            np.copyto(lo, mid, where=up)
-            np.copyto(hi, mid, where=down)
-        estimates[first:first + _ROW_BLOCK] = 0.5 * (lo + hi)
-    return estimates
+    cols = np.ascontiguousarray(rows.T)
+    theta = cols.all(axis=0).astype(np.float64)
+    live = np.flatnonzero(cols.any(axis=0) & (theta == 0.0))
+    if live.size < theta.size:
+        cols = cols[:, live]
+    # a is what a bit takes the root of (z for 1, y for 0), b the other: a
+    # step is (sqrt a, b / (1 + sqrt a)), swapped where the next bit differs.
+    z_first = cols[-1] != 0
+    a, b = np.where(z_first, 1.0, 1e-300), np.where(z_first, 1e-300, 1.0)
+    passes = 0
+    while live.size:
+        if passes == _MAX_PASSES:
+            raise ResourceLimitError(f"root search exceeds {passes} passes")
+        passes += 1
+        a0, b0 = a, b
+        for j in range(cols.shape[0] - 1, -1, -1):
+            s = np.sqrt(a)
+            t = b / (1.0 + s)
+            swap = cols[j] != cols[j - 1]
+            a, b = np.where(swap, t, s), np.where(swap, s, t)
+        keep = (a != a0) | (b != b0)
+        if not keep.all():  # retire the rows whose pair repeats
+            theta[live[~keep]] = np.where(cols[-1] != 0, a, b)[~keep]
+            live, cols, a, b = live[keep], cols[:, keep], a[keep], b[keep]
+    return theta
 
 
 def threshold_curve(m: int, depth: int, *,
@@ -245,12 +222,12 @@ def threshold_curve(m: int, depth: int, *,
     """The fractal plot: (x, estimated theta) at the 2^m cell midpoints
     (2j+1)/2^(m+1), in increasing x.
 
-    Cell j is estimated from its m bits (odd numerator, so no coarse
-    dyadic is hit) continued by the balanced alternating tail, ``depth``
-    bits in all; complementary cells then get exactly complementary bit
-    sequences, which keeps the curve symmetric.  ``include_dyadics`` adds
-    the dyadic grid spikes (j/2^m, 1.0).  A depth past ``_MAX_PLOT_BITS``
-    prefix bits raises ``ResourceLimitError`` before any allocation.
+    Cell j is the largest root of the period map of its m bits (odd
+    numerator, so no coarse dyadic is hit) and the balanced alternating
+    tail, ``depth`` bits in all, built F-ordered for the estimator;
+    complementary cells get complementary bits, so a symmetric curve.
+    ``include_dyadics`` adds the spikes (j/2^m, 1.0).  A depth past the
+    prefix-bit cap raises ``ResourceLimitError`` before any allocation.
     """
     if m < 1:
         raise ValueError("grid exponent must be >= 1")
@@ -263,7 +240,7 @@ def threshold_curve(m: int, depth: int, *,
         raise ResourceLimitError(
             f"depth {depth} exceeds {cap}, the cap at grid exponent {m}")
     j = np.arange(1 << m)
-    prefixes = np.empty((j.size, depth), dtype=np.uint8)
+    prefixes = np.empty((j.size, depth), dtype=np.uint8, order="F")
     cell = min(m, depth)
     prefixes[:, :cell] = (j[:, None] >> np.arange(m - 1, m - 1 - cell, -1)) & 1
     tail = (np.arange(depth - m) % 2 == 0).astype(np.uint8)

@@ -472,13 +472,13 @@ GOLDEN_STDOUT = {
     "measure --eps 0.7 --depths 24 --delta 1e-12 --json":
         "d508687f1cef5bbd099ac63b96364676b48980e0b589e415cd4c5d90e6ea8a93",
     "plot-fractal -m 8 --json":
-        "0b0615307f4a556d398fad9542e299271b6278e2cf2b55d5105b64bcf4008f66",
+        "01e7d667a2090f65e88a8a5692d495a58b21a8b2c9e495f45f30a93a9a4357a8",
     "plot-fractal -m 11 --json":
-        "6f22afe0da6b93f1741d619b25bcba272fb50b234eb1b31264b72a43332ba30d",
+        "e1780bc6227071450a8301c9d8ee2c6605042d0cb333e00eeaf0acb5719f5622",
     "plot-fractal -m 13":
-        "dffa21e338b271d46d5ac605ef1a819841396474a57a244ad44b76d80f9b0e2d",
+        "e1cb2b31b60e33c22d716e27261c78701e5e4dce2c9a57d5f66cec12673fa5a5",
     "plot-fractal -m 14 --depth 60":
-        "935bd44fc4461e25b04d57a7b883547232dde47ff555af9d3a2128f588eeb2f4",
+        "bdc4f51d3fdb71a87f00e46177d9ed21f25225093341ad4b4bd406c38fc9cac8",
     "walk --n 8 --exhaustive":
         "b9d6ea7656249d3599d91389100c9ffb13e42ecd7381a15c07ff3c4af77d0ba6",
     "selfsim --n 2 --samples 10 --seed 13":
@@ -502,7 +502,7 @@ GOLDEN_STDOUT = {
     "measure --eps 0.3 --depths 3,26 --trials 5000 --seed 3 --json":
         "6c3a7dfa47bfbb9f043cd299c7b637b3cc78b716b458fd770d244c647a86a3f4",
     "plot-fractal -m 4 --include-dyadics":
-        "9902389d8839d05fb3300aa67dc24f74f8175cdb5b3dd8bce12eca1e21e90ecc",
+        "6fbda4277f0f2aa7ed93cbc5703a204b7c68f35f6d3f2fec774bcc06c7a14bdd",
     "walk --n 8 --exhaustive --json":
         "9d5c4059f9499ccbaa4abcc52b72e5ab70bbb53f0e0361ac1ffcfe8e72647874",
     "walk --n 301 --trials 20000 --seed 5 --json":
@@ -527,7 +527,7 @@ GOLDEN_FILES = {
     "construct polar --eps 0.5 --n 9 --k 200 --matrix-out":
         "2d4d036c62a2f70914e56cec610b0dc6a692efefb64a4fe201e22e768c1a9830",
     "plot-fractal -m 6 -o":
-        "40bbbcfbf052a804d6aaeb6c88e1cecd8a59d913729c9f4381c51b13463a0885",
+        "1f3afbcc51d11f7cc602ce5956fe9abf82527491092cc53dd6f74eaef5f14a91",
 }
 
 

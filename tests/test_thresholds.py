@@ -13,7 +13,7 @@ from polarfractal import thresholds
 from polarfractal.codes import polar_index_set
 from polarfractal.errors import ResourceLimitError, TrivialPeriodError
 from polarfractal.expansions import Variant, is_dyadic, real_to_expansion
-from polarfractal.polarization import apply_path
+from polarfractal.polarization import _apply_rows, apply_path
 from polarfractal.thresholds import (Certainty, period_fixed_points,
                                      threshold_curve,
                                      threshold_estimate_batch,
@@ -250,6 +250,22 @@ class TestThresholdOfRational:
         theta = threshold_of_rational(x).theta
         assert abs(Decimal(theta) - want) <= 2 * Decimal(math.ulp(theta))
 
+    @pytest.mark.parametrize("x", [Fraction(1, 1022), Fraction(385, 1314)])
+    def test_preamble_rounds_once(self, x):
+        # The preamble is undone in the wide run that ends the root, not
+        # from the rounded root, so theta is correctly rounded: within 0.5
+        # ulp of the 60-digit root pulled back in 60 digits (a second
+        # rounding put these two 0.93 and 0.91 ulp off).
+        spec = real_to_expansion(x)
+        assert spec.preamble
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            want = decimal_bisect(spec.period, Decimal(0), Decimal(1), 200)
+            for b in reversed(spec.preamble):
+                want = want.sqrt() if b else 1 - (1 - want).sqrt()
+        theta = threshold_of_rational(x).theta
+        assert abs(Decimal(theta) - want) <= Decimal(math.ulp(theta)) / 2
+
     def test_random_preambles(self):
         # Rationals with a preamble of 1 to 11 bits: theta, against the
         # 50-digit preimage of the library's own period root, is within
@@ -278,18 +294,16 @@ class TestThresholdOfRational:
                                                   id="1^20-0^99980")])
     def test_preamble_pulled_back_exactly(self, a, k):
         # x = (a + 1/3) / 2^k: theta is the correctly rounded pull-back of
-        # the reported root, from its more accurate coordinate, through a
-        # preamble of up to 10^5 bits, as 60-digit pair steps give it.
-        # 1^20 0^99980 takes z near 2^-99980, far below binary64, before
-        # 20 square roots bring it back near 0.94.
+        # the root r = (3 - sqrt 5) / 2 of the period 01 (1 - r of 10)
+        # through a preamble of up to 10^5 bits, as 60-digit pair steps
+        # give it.  1^20 0^99980 takes z near 2^-99980, far below
+        # binary64, before 20 square roots bring it back near 0.94.
         spec = real_to_expansion(Fraction(3 * a + 1, 3 << k))
-        assert len(spec.preamble) >= 20
-        report = period_fixed_points(spec.period)
-        root, comp = report.interior[-1], report.complements[-1]
+        assert len(spec.preamble) >= 20 and spec.period in ((0, 1), (1, 0))
         with decimal.localcontext() as ctx:
             ctx.prec = 60
-            z = Decimal(root) if root <= comp else 1 - Decimal(comp)
-            y = 1 - z if root <= comp else Decimal(comp)
+            r = (3 - Decimal(5).sqrt()) / 2
+            z, y = (r, 1 - r) if spec.period == (0, 1) else (1 - r, r)
             for b in reversed(spec.preamble):
                 if b:
                     s = z.sqrt()
@@ -465,12 +479,13 @@ class TestThresholdEstimate:
 
 
 def full_budget_estimate(prefixes):
-    """The prefix estimator without any early exit: every row takes all 60
-    halvings of [0, 1] on the sign of p(mid) - mid, with the ``np.where``
-    prefix walk of earlier releases over every bit, in one block.  A row
+    """The prefix estimator of earlier releases, with no early exit: every
+    row takes all 60 halvings of [0, 1] on the sign of p(mid) - mid, with
+    the ``np.where`` forward walk over every bit, in one block.  A row
     whose midpoint is a binary64 fixed point of p (pinned) keeps its
     bracket, so later halvings repeat that midpoint.  Returns the
-    estimates and the mask of rows that were pinned."""
+    estimates and the mask of rows that were pinned.  Forward maps and a
+    sign test: independent of the inverse passes of the library."""
     cols = prefixes.T != 0
     lo, hi = np.zeros(prefixes.shape[0]), np.ones(prefixes.shape[0])
     pinned = np.zeros(prefixes.shape[0], dtype=bool)
@@ -483,6 +498,19 @@ def full_budget_estimate(prefixes):
         lo = np.where(v < mid, mid, lo)
         hi = np.where(v > mid, mid, hi)
     return 0.5 * (lo + hi), pinned
+
+
+def unretired_estimate(prefixes, passes):
+    """``passes`` passes of the pair steps of ``_undo_ends`` over every row
+    from (z, y) = (1, 1e-300), written per bit on (z, y) with ``np.where``
+    and with no row retired: the z each row ends at."""
+    z, y = np.ones(len(prefixes)), np.full(len(prefixes), 1e-300)
+    for _ in range(passes):
+        for bit in prefixes.T[::-1] != 0:
+            s = np.sqrt(np.where(bit, z, y))
+            other = np.where(bit, y, z) / (1.0 + s)
+            z, y = np.where(bit, s, other), np.where(bit, other, s)
+    return z
 
 
 def plot_prefixes(m, depth):
@@ -501,18 +529,24 @@ def hexes(values):
     return [v.hex() for v in np.asarray(values).tolist()]
 
 
+# Ulps within which an estimate lies of a 60-digit root of its prefix
+# map; the worst row of threshold_curve(11, 40) is 3.34 ulps off, that of
+# threshold_curve(13, 40) 3.76 (the 60 halvings were up to 28.6 off).
+ROW_ULPS = 4
+
+
 class TestThresholdCurve:
     def test_pinned_rows_match_full_budget(self):
+        # Where a forward halving pins a midpoint that p fixes in binary64,
+        # the inverse passes end within 1 ulp of that midpoint.
         m, depth = 11, 40
         want, pinned = full_budget_estimate(plot_prefixes(m, depth))
         assert pinned.any()
         curve = threshold_curve(m, depth)
         xs = [(2 * j + 1) / (1 << (m + 1)) for j in range(1 << m)]
         assert [x for x, _ in curve] == xs
-        got = hexes([th for _, th in curve])
-        assert [got[j] for j in np.flatnonzero(pinned)] == \
-            [hexes(want)[j] for j in np.flatnonzero(pinned)]
-        assert got == hexes(want)
+        got = np.array([th for _, th in curve])
+        assert (np.abs(got - want) <= np.spacing(want))[pinned].all()
 
     def test_pinned_scalar_matches_full_budget(self):
         # Cell 1365 of the m = 11 grid is 1010...: one bisection midpoint
@@ -520,21 +554,50 @@ class TestThresholdCurve:
         row = plot_prefixes(11, 40)[1365]
         want, pinned = full_budget_estimate(row[None, :])
         assert pinned[0]
-        assert estimate(row).hex() == want[0].hex()
+        assert abs(estimate(row) - want[0]) <= math.ulp(want[0])
+        assert_root_within(row.tolist(), estimate(row), ROW_ULPS)
 
     @pytest.mark.parametrize("prefix", [
         digits(real_to_expansion(Fraction(1, 9)), 24),
         digits(real_to_expansion(Fraction(5, 7)), 200),
         [1, 0] * 150, [0, 1, 1], [1, 0, 0, 0, 1, 1, 0, 1] * 40])
     def test_scalar_matches_full_budget(self, prefix):
+        # One row is within 1 ulp of the 60 forward halvings on these
+        # short periods, and within ROW_ULPS of the 60-digit root.
         want, _ = full_budget_estimate(np.array([prefix], dtype=np.uint8))
-        assert estimate(prefix).hex() == want[0].hex()
+        theta = estimate(prefix)
+        assert abs(theta - want[0]) <= math.ulp(theta)
+        assert_root_within(list(prefix), theta, ROW_ULPS)
 
-    @pytest.mark.parametrize("m,depth", [(1, 1), (3, 2), (4, 4), (5, 9), (6, 13)])
+    @pytest.mark.parametrize("m,depth", [(1, 1), (3, 2), (4, 4), (5, 9), (6, 13),
+                                         (11, 40), (8, 60)])
     def test_short_and_long_depths(self, m, depth):
-        want, _ = full_budget_estimate(plot_prefixes(m, depth))
-        got = [th for _, th in threshold_curve(m, depth)]
-        assert hexes(got) == hexes(want)
+        # Depths up to m give all-0 and all-1 rows, exactly 0.0 and 1.0;
+        # every other row is within ROW_ULPS of its 60-digit root.
+        curve = threshold_curve(m, depth)
+        for row, (_, theta) in zip(plot_prefixes(m, depth).tolist(), curve):
+            if 0 in row and 1 in row:
+                assert_root_within(row, theta, ROW_ULPS)
+            else:
+                assert theta.hex() == float(1 in row).hex()
+
+    @pytest.mark.parametrize("m,depth", [(11, 40), (8, 60), (12, 4096)])
+    def test_complementary_rows_sum_to_one(self, m, depth):
+        # Cells j and 2^m - 1 - j have complementary bits, so complementary
+        # roots: each rounded pair sums to 1 within 2^-52.
+        theta = np.array([th for _, th in threshold_curve(m, depth)])
+        assert np.abs(theta + theta[::-1] - 1.0).max() <= 2.0 ** -52
+
+    def test_deep_curve_memory(self):
+        # The 2^12 x 4096 prefix matrix (16 MiB) is read in place, a column
+        # a bit; the halvings held it as float64 step constants (128 MiB).
+        tracemalloc.start()
+        try:
+            threshold_curve(12, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 << 20
 
     def test_include_dyadics(self):
         curve = threshold_curve(3, 40, include_dyadics=True)
@@ -554,7 +617,7 @@ class TestThresholdCurve:
         for m, depth in ((16, 257), (12, 4097), (1, 4097), (16, 10 ** 12)):
             with pytest.raises(ResourceLimitError, match="the cap at grid"):
                 threshold_curve(m, depth)
-        # Grids below one row block are charged as a full block.
+        # Grids of fewer than 2^12 cells are charged as 2^12.
         monkeypatch.setattr(thresholds, "_MAX_PLOT_BITS", 1 << 16)
         for m, cap in ((4, 16), (12, 16), (13, 8)):
             assert len(threshold_curve(m, cap)) == 1 << m
@@ -562,61 +625,59 @@ class TestThresholdCurve:
                 threshold_curve(m, cap + 1)
 
 
-def counted_apply_rows(monkeypatch):
-    """The row count of every later ``_apply_rows`` call, in order."""
-    sizes = []
-    apply_rows = thresholds._apply_rows
-
-    def counting(v, steps):
-        sizes.append(v.size)
-        return apply_rows(v, steps)
-
-    monkeypatch.setattr(thresholds, "_apply_rows", counting)
-    return sizes
+def passes_needed(prefixes, monkeypatch):
+    """The fewest passes under which the batch ends, found by raising
+    ``_MAX_PASSES`` from 1 until the batch no longer raises."""
+    for passes in range(1, thresholds._MAX_PASSES + 1):
+        monkeypatch.setattr(thresholds, "_MAX_PASSES", passes)
+        try:
+            threshold_estimate_batch(prefixes)
+        except ResourceLimitError:
+            continue
+        monkeypatch.undo()
+        return passes
 
 
 @pytest.mark.parametrize("m", [11, 13])
 def test_retired_brackets_match_unretired_loop(m, monkeypatch):
-    # Every row of a block is bisected in lockstep, also after its bracket
-    # stopped moving (a pinned midpoint, or one equal to an end of its
-    # bracket), with the results of the full 60 halvings of every row.
+    # A row leaves the batch once its upper end repeats, a binary64 fixed
+    # point of the pass: the results equal those of 12 passes over every
+    # row, written per bit on (z, y).  The last pass (the 7th at m = 11,
+    # the 8th at m = 13) is that of 825 and 9 rows.
     prefixes = plot_prefixes(m, 40)
-    want, _ = full_budget_estimate(prefixes)
-    mapped = counted_apply_rows(monkeypatch)
     got = threshold_estimate_batch(prefixes)
-    assert got.shape == (1 << m,)
-    assert hexes(got) == hexes(want)
-    block = min(1 << m, thresholds._ROW_BLOCK)
-    assert set(mapped) == {block}
-    assert len(mapped) <= 60 * (1 << m) // block
+    assert hexes(got) == hexes(unretired_estimate(prefixes, 12))
+    assert passes_needed(prefixes, monkeypatch) == {11: 7, 13: 8}[m]
 
 
 @pytest.mark.parametrize("x", ["1/3", "1/5"])
 def test_block_stops_once_no_bracket_moves(x, monkeypatch):
-    # A 2000-bit prefix ends well within 60 halvings, on a midpoint that
-    # p fixes (1/3) or that equals an end of its bracket (1/5); every
-    # later halving would map all 2000 bits again.
+    # One pass of a 2000-bit prefix contracts its upper end to a binary64
+    # fixed point, which the second pass repeats: the batch stops there,
+    # where every further pass would undo all 2000 bits again.
     row = np.array([digits(real_to_expansion(Fraction(x)), 2000)])
-    want, _ = full_budget_estimate(row)
-    calls = counted_apply_rows(monkeypatch)
-    assert hexes(threshold_estimate_batch(row)) == hexes(want)
-    assert len(calls) < 60
+    theta = threshold_estimate_batch(row)
+    assert hexes(theta) == hexes(unretired_estimate(row, 4))
+    assert passes_needed(row, monkeypatch) == 2
+    assert_root_within(row[0].tolist(), float(theta[0]), ROW_ULPS)
 
 
 @pytest.mark.parametrize("width", [1, 2, 7, 57, 200])
 @pytest.mark.parametrize("seed", [0, 3, 600])
-def test_signed_kernel_matches_where_loop(width, seed, monkeypatch):
-    # 45 random rows in blocks of 16, so two block edges fall inside;
-    # one row is all 1s and one all 0s, which saturate at once.
+def test_signed_kernel_matches_where_loop(width, seed):
+    # The signed forward kernel of the Monte Carlo paths against the
+    # ``np.where`` walk of ``apply_path``'s steps: 45 random rows from
+    # random starts, 0.0, 1.0 and a subnormal among them; one row is all
+    # 1s and one all 0s, which saturate first.
     rng = np.random.default_rng(1000 * width + seed)
-    prefixes = rng.integers(0, 2, size=(45, width), dtype=np.uint8)
-    prefixes[5], prefixes[30] = 1, 0
-    want, _ = full_budget_estimate(prefixes)
-    one_block = threshold_estimate_batch(prefixes)
-    monkeypatch.setattr(thresholds, "_ROW_BLOCK", 16)
-    got = threshold_estimate_batch(prefixes)
-    assert hexes(got) == hexes(one_block) == hexes(want)
-    assert threshold_estimate_batch(prefixes[:0]).shape == (0,)
+    bits = rng.integers(0, 2, size=(width, 45), dtype=np.uint8)
+    bits[:, 5], bits[:, 30] = 1, 0
+    z = rng.random(45)
+    z[:3] = 0.0, 1.0, 5e-324
+    want = z
+    for bit in bits:
+        want = want * np.where(bit, want, 2.0 - want)
+    assert hexes(_apply_rows(z, bits)) == hexes(want)
 
 
 def test_estimates_of_all_8_bit_periods():
@@ -627,6 +688,38 @@ def test_estimates_of_all_8_bit_periods():
     got = threshold_estimate_batch(rows)
     exact = [threshold_of_rational(Fraction(int(k), 255)).theta for k in v]
     assert np.abs(got - exact).max() <= 1e-13
+
+
+def test_rows_match_thresholds_of_all_short_periods():
+    # Every non-trivial period v of k <= 12 bits as a row of k bits, one
+    # batch a length, against theta(v / (2^k - 1)), whose expansion
+    # repeats those bits: the binary64 upper end against the wide steps,
+    # within 6 ulps (5 at worst, for 0000001001, whose run of 0 bits at a
+    # small z keeps each step's relative rounding error).
+    for k in range(2, 13):
+        v = np.arange(1, (1 << k) - 1)
+        got = threshold_estimate_batch((v[:, None] >> np.arange(k)[::-1]) & 1)
+        exact = np.array([threshold_of_rational(Fraction(int(n), (1 << k) - 1))
+                          .theta for n in v])
+        assert (np.abs(got - exact) <= 6 * np.spacing(exact)).all(), k
+
+
+def test_trivial_rows_are_exact():
+    # All-0 rows give 0.0 and all-1 rows 1.0, at any width, before any
+    # pass; iterated, they would take about 1075 steps to saturate.
+    for width in (1, 2, 57, 4096):
+        rows = np.zeros((3, width), dtype=np.uint8)
+        rows[1], rows[2, -1] = 1, 1
+        got = threshold_estimate_batch(rows)
+        assert hexes(got[:2]) == hexes([0.0, 1.0]), width
+    assert threshold_estimate_batch(rows[:0]).shape == (0,)
+
+
+def test_estimator_pass_cap(monkeypatch):
+    # 10 converges by a factor of about 1.53 a pass, so it needs dozens.
+    monkeypatch.setattr(thresholds, "_MAX_PASSES", 3)
+    with pytest.raises(ResourceLimitError, match="exceeds 3 passes"):
+        threshold_estimate_batch(np.array([[1, 0]]))
 
 
 def decimal_path(z, bits):
