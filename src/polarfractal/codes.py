@@ -201,7 +201,7 @@ def _expansion_is_heavy(spec: ExpansionSpec, rho: Fraction) -> bool:
     with the drift-zero case decided by the recurring window minimum.
     With rho = p/q the walk w(b^m) - rho*m is kept in units of 1/q."""
     p, q = rho.numerator, rho.denominator
-    period = spec.period if spec.period else (0,)
+    period = spec.period or b"\0"
     drift = q * sum(period) - p * len(period)
     if drift:
         return drift > 0

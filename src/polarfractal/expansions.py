@@ -4,7 +4,7 @@ Every rational has an eventually periodic base-2 expansion; dyadic
 rationals have two (terminating and non-terminating).  Everything here is
 exact integer/fraction arithmetic: the heavy-set membership built on top
 is discrete and drift-intolerant, so no floating point is allowed in this
-module.
+module.  Bits are ``bytes`` of 0/1, which ``_as_bits`` checks uncopied.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ _BITS_TO_CHARS = bytes.maketrans(bytes([0, 1]), b"01")
 _CHARS_TO_BITS = bytes.maketrans(b"01", bytes([0, 1]))
 
 
-def _as_bits(bits: Iterable[int]) -> tuple[int, ...]:
-    """0/1 bits of any iterable; numpy arrays are read through ``tolist``."""
+def _as_bits(bits: Iterable[int]) -> bytes:
+    """The 0/1 bits of an iterable as ``bytes``; numpy via ``tolist``."""
     if hasattr(bits, "tolist"):
         bits = bits.tolist()
     if isinstance(bits, (int, str)):
@@ -44,7 +44,7 @@ def _as_bits(bits: Iterable[int]) -> tuple[int, ...]:
         raise ValueError(f"bits must be a 0/1 sequence, got {bits!r}") from exc
     if raw.translate(None, b"\x00\x01"):  # a byte other than 0 or 1 is left
         raise ValueError(f"bits must be 0/1, got {bits!r}")
-    return tuple(raw)
+    return raw
 
 
 @dataclass(frozen=True)
@@ -52,15 +52,15 @@ class ExpansionSpec:
     """Eventually periodic binary expansion 0.preamble[period]...
 
     A validated record: each field is checked to be a 0/1 sequence and
-    kept as a tuple of those bits, with no other change.  An empty period
+    kept as ``bytes`` of those bits, with no other change.  An empty period
     means an all-zero tail.  The canonical form of a rational comes from
     ``real_to_expansion``; a hand-built spec need not be canonical, and
     ``real_to_expansion(expansion_to_real(spec))`` gives its canonical
     form.
     """
 
-    preamble: tuple[int, ...]
-    period: tuple[int, ...]
+    preamble: bytes
+    period: bytes
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "preamble", _as_bits(self.preamble))
@@ -93,7 +93,7 @@ def real_to_expansion(x: Fraction | int | str,
     have a unique expansion and ``variant`` is ignored.  For dyadic x the
     terminating form has an empty period and the non-terminating form
     flips the last preamble bit and appends the all-ones period.  x = 0
-    is ((), ()) and x = 1 is ((), (1,)), returned for either variant.
+    has empty fields and x = 1 the period 1, for either variant.
     Raises ResourceLimitError when the odd part of the denominator exceeds
     2^40 or the period exceeds 2^20 bits.
     """
@@ -101,14 +101,14 @@ def real_to_expansion(x: Fraction | int | str,
     if not 0 <= x <= 1:
         raise ValueError(f"x must lie in [0, 1], got {x}")
     if x == 0:
-        return ExpansionSpec((), ())
+        return ExpansionSpec(b"", b"")
     if x == 1:
-        return ExpansionSpec((), (1,))
+        return ExpansionSpec(b"", b"\1")
     if is_dyadic(x):  # p/2^n with p odd: the last bit is 1
         bits = _int_to_bits(x.numerator, x.denominator.bit_length() - 1)
         if variant is Variant.TERMINATING:
-            return ExpansionSpec(bits, ())
-        return ExpansionSpec(bits[:-1] + (0,), (1,))
+            return ExpansionSpec(bits, b"")
+        return ExpansionSpec(bits[:-1] + b"\0", b"\1")
     # Write q = 2^a * m with m odd: the minimal preamble has length a and
     # the minimal period length is the multiplicative order of 2 mod m
     # (gcd(r, m) = 1, and the last bits of preamble and period differ).
@@ -128,10 +128,10 @@ def real_to_expansion(x: Fraction | int | str,
     return ExpansionSpec(preamble, _int_to_bits(period_value, k))
 
 
-def _int_to_bits(value: int, width: int) -> tuple[int, ...]:
+def _int_to_bits(value: int, width: int) -> bytes:
     if width == 0:
-        return ()
-    return tuple(format(value, f"0{width}b").encode().translate(_CHARS_TO_BITS))
+        return b""
+    return format(value, f"0{width}b").encode().translate(_CHARS_TO_BITS)
 
 
 def _factorize(n: int) -> dict[int, int]:

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ResourceLimitError, TrivialPeriodError
-from .expansions import _as_bits, is_dyadic, real_to_expansion
+from .expansions import _BITS_TO_CHARS, _as_bits, is_dyadic, real_to_expansion
 
 # Entries kept by the threshold cache (least recently used evicted first).
 _THRESHOLD_CACHE_SIZE = 1 << 12
@@ -39,6 +39,7 @@ _MAX_PLOT_BITS = 1 << 24
 _WIDE_STEPS = 32
 _WIDE_BITS = 96
 _MAX_PASSES = 1 << 8
+_PAST_BINARY64 = "a root too close to 0 or 1 for binary64"
 
 
 class Certainty(Enum):
@@ -63,7 +64,7 @@ class ThresholdResult:
     multiplicity_flag: bool
 
 
-def _undo_ends(rbits: Sequence[int], zl: float, yl: float, zh: float,
+def _undo_ends(rbits: bytes, zl: float, yl: float, zh: float,
                yh: float) -> tuple[float, float, float, float]:
     """Undo ``rbits`` on two pairs (z, y = 1 - z) without cancellation: bit
     1 by (sqrt z, y / (1 + sqrt z)), bit 0 by (z / (1 + sqrt y), sqrt y)."""
@@ -78,7 +79,7 @@ def _undo_ends(rbits: Sequence[int], zl: float, yl: float, zh: float,
     return zl, yl, zh, yh
 
 
-def _undo_wide(rbits: Sequence[int], z: float, y: float) -> tuple[float, float]:
+def _undo_wide(rbits: bytes, z: float, y: float) -> tuple[float, float]:
     """``_undo_ends`` on one pair, rounded once: the smaller of z and y is
     m / 2^e with m of ``_WIDE_BITS`` bits, the other 1 - it, so a step
     costs the same at any scale: v -> sqrt(v) or v / (1 + sqrt(1 - v))."""
@@ -105,7 +106,7 @@ def _converge(step, ends=(1e-300, 1.0, 1.0, 1e-300)) -> tuple[tuple, bool]:
     for _ in range(_MAX_PASSES):
         moved, ends = ends, step(ends)
         if 0.0 in ends:
-            raise ResourceLimitError("a root too close to 0 or 1 for binary64")
+            raise ResourceLimitError(_PAST_BINARY64)
         met = (ends[2] <= math.nextafter(ends[0], 1.0) if ends[2] <= 0.5
                else ends[1] <= math.nextafter(ends[3], 1.0))
         if met or ends == moved:
@@ -114,18 +115,19 @@ def _converge(step, ends=(1e-300, 1.0, 1.0, 1e-300)) -> tuple[tuple, bool]:
 
 
 def period_fixed_points(period: Sequence[int],
-                        preamble: Sequence[int] = ()) -> FixedPointReport:
+                        preamble: Sequence[int] = b"") -> FixedPointReport:
     """Interior fixed points of the period map, increasing, and 1 - each,
-    pulled back through the map of ``preamble``.  Ends at (z, y) =
-    (1e-300, 1) and (1, 1e-300) move monotonically to the extreme roots by
-    passes of p^-1 that stop ``_WIDE_STEPS`` steps short, which the upper
-    end (or both, apart) takes wide, then the reversed preamble in the same
-    wide run, so a root rounds once; stalled ends pass wide."""
+    pulled back through the map of ``preamble``; a 0.0 among them (a root
+    past binary64) raises.  Ends at (z, y) = (1e-300, 1) and (1, 1e-300)
+    move monotonically to the extreme roots by passes of p^-1 that stop
+    ``_WIDE_STEPS`` steps short, which the upper end (or both, apart)
+    takes wide, then the reversed preamble in the same wide run, so a root
+    rounds once; stalled ends pass wide."""
     period, preamble = _as_bits(period), _as_bits(preamble)
     if not period or 0 not in period or 1 not in period:
         raise TrivialPeriodError(
-            f"period {period!r} has no interior fixed point; only the "
-            "endpoints 0 and 1 remain")
+            f"period {period.translate(_BITS_TO_CHARS).decode()!r} has no "
+            "interior fixed point; only the endpoints 0 and 1 remain")
     bits = period * -(-_WIDE_STEPS // len(period))
     rtail = bits[_WIDE_STEPS - 1::-1]
     rrot = rtail + bits[:_WIDE_STEPS - 1:-1]  # p^-1 from before the tail
@@ -135,6 +137,8 @@ def period_fixed_points(period: Sequence[int],
                                          + _undo_wide(rrot, *e[2:])), ends)
     rpull = rtail + preamble[::-1]
     roots = [_undo_wide(rpull, *ends[i:i + 2]) for i in range(2 * met, 4, 2)]
+    if any(0.0 in root for root in roots):
+        raise ResourceLimitError(_PAST_BINARY64)
     return FixedPointReport(*map(tuple, zip(*roots)))
 
 
@@ -177,7 +181,7 @@ def threshold_estimate_batch(prefixes: np.ndarray) -> np.ndarray:
     once: passes of p^-1 from (z, y) = (1, 1e-300) until the pair repeats.
     All-0 rows give 0.0, all-1 rows 1.0.  Rows are read by column (an
     F-ordered matrix is not copied).  Prefixes past ``_max_prefix_bits``,
-    or ``_MAX_PASSES`` passes, raise ``ResourceLimitError``.
+    ``_MAX_PASSES`` passes or a pair at 0.0 raise ``ResourceLimitError``.
     """
     rows = np.asarray(prefixes)
     if rows.ndim == 2:
@@ -210,6 +214,8 @@ def threshold_estimate_batch(prefixes: np.ndarray) -> np.ndarray:
             t = b / (1.0 + s)
             swap = cols[j] != cols[j - 1]
             a, b = np.where(swap, t, s), np.where(swap, s, t)
+        if not (a.all() and b.all()):  # 0.0 is fixed: a root past binary64
+            raise ResourceLimitError(_PAST_BINARY64)
         keep = (a != a0) | (b != b0)
         if not keep.all():  # retire the rows whose pair repeats
             theta[live[~keep]] = np.where(cols[-1] != 0, a, b)[~keep]

@@ -39,6 +39,20 @@ class TestThresholdCommand:
         assert rc == 0
         assert "theta = 1" in out
 
+    @pytest.mark.parametrize("x", [Fraction(1, 3 << 1100),
+                                   1 - Fraction(1, 3 << 1100)])
+    def test_theta_past_binary64_exits_3(self, x, capsys):
+        # theta near 0.38 * 2^-1100, or 1 minus it: the pulled-back root or
+        # its complement is 0.0, so nothing is printed.
+        assert run(["threshold", str(x)]) == (3, "")
+        assert capsys.readouterr().err == (
+            "resource limit: a root too close to 0 or 1 for binary64\n")
+
+    def test_subnormal_theta_is_printed(self):
+        rc, out = run(["threshold", str(Fraction(1, 3 << 1060))])
+        assert rc == 0
+        assert out.splitlines()[1] == "theta = 3.8952135518123878e-320"
+
     def test_json_schema(self):
         rc, out = run(["threshold", "1/6", "--json"])
         doc = json.loads(out)

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,23 +22,23 @@ rationals = st.builds(
 class TestRealToExpansion:
     def test_half_terminating(self):
         spec = real_to_expansion(Fraction(1, 2), Variant.TERMINATING)
-        assert (spec.preamble, spec.period) == ((1,), ())
+        assert (spec.preamble, spec.period) == (bytes((1,)), bytes(()))
 
     def test_half_non_terminating(self):
         spec = real_to_expansion(Fraction(1, 2), Variant.NON_TERMINATING)
-        assert (spec.preamble, spec.period) == ((0,), (1,))
+        assert (spec.preamble, spec.period) == (bytes((0,)), bytes((1,)))
 
     def test_two_thirds(self):
         spec = real_to_expansion(Fraction(2, 3))
-        assert (spec.preamble, spec.period) == ((), (1, 0))
+        assert (spec.preamble, spec.period) == (bytes(()), bytes((1, 0)))
 
     def test_one_seventh(self):
         spec = real_to_expansion(Fraction(1, 7))
-        assert (spec.preamble, spec.period) == ((), (0, 0, 1))
+        assert (spec.preamble, spec.period) == (bytes(()), bytes((0, 0, 1)))
 
     def test_one_sixth(self):
         spec = real_to_expansion(Fraction(1, 6))
-        assert (spec.preamble, spec.period) == ((0,), (0, 1))
+        assert (spec.preamble, spec.period) == (bytes((0,)), bytes((0, 1)))
 
     def test_endpoints(self):
         for variant in Variant:
@@ -103,11 +104,11 @@ def test_hand_built_spec_keeps_its_fields():
     # A spec is a validated record: nothing is re-normalized, and
     # real_to_expansion(expansion_to_real(spec)) is its canonical form.
     spec = ExpansionSpec((), (0, 1, 0, 1))
-    assert (spec.preamble, spec.period) == ((), (0, 1, 0, 1))
+    assert (spec.preamble, spec.period) == (bytes(()), bytes((0, 1, 0, 1)))
     assert expansion_to_real(spec) == Fraction(1, 3)
     assert real_to_expansion(expansion_to_real(spec)) == ExpansionSpec((), (0, 1))
     spec = ExpansionSpec((1, 0), (1, 0))
-    assert (spec.preamble, spec.period) == ((1, 0), (1, 0))
+    assert (spec.preamble, spec.period) == (bytes((1, 0)), bytes((1, 0)))
     assert expansion_to_real(spec) == Fraction(2, 3)
     assert real_to_expansion(expansion_to_real(spec)) == ExpansionSpec((), (1, 0))
 
@@ -120,6 +121,20 @@ def test_round_trip_random_rationals():
         x = Fraction(p, q)
         for variant in Variant:
             assert expansion_to_real(real_to_expansion(x, variant)) == x
+
+
+def test_long_period_memory():
+    # The 2^20-bit period of 1/1048573 is built as one bytes object and
+    # checked in place: about 2 MiB of tracemalloc peak, where a tuple of
+    # its bits and the copies around it took 17 MiB.
+    tracemalloc.start()
+    try:
+        spec = real_to_expansion(Fraction(1, 1048573))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(spec.period) == 1048572
+    assert peak < 6 << 20
 
 
 @given(rationals)
@@ -193,37 +208,44 @@ class TestRowIndex:
         assert _bits_to_int(_int_to_bits(h, 16)) == h
 
 
-@pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.bool_])
+def bit_array(bits, dtype):
+    return bytes(bits) if dtype is bytes else np.array(bits, dtype=dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.bool_, bytes])
 class TestNumpyBits:
-    """A numpy bit array counts as its ``tolist()``, not as its raw buffer."""
+    """A numpy bit array counts as its ``tolist()``, not as its raw buffer;
+    ``bytes`` of 0/1 are kept as they are."""
 
     def test_row_index(self, dtype):
         # A terminating preamble of n bits is worth its row index over 2^n.
         bits = [1, 0, 1, 1, 0, 0, 1, 0, 1]
-        spec = ExpansionSpec(np.array(bits, dtype=dtype), ())
-        assert spec.preamble == tuple(bits)
+        spec = ExpansionSpec(bit_array(bits, dtype), ())
+        assert spec.preamble == bytes(bits)
         assert expansion_to_real(spec) == Fraction(_bits_to_int(bits), 1 << 9)
 
     def test_hamming_weight(self, dtype):
-        spec = ExpansionSpec((), np.array([1, 0, 1, 1], dtype=dtype))
+        spec = ExpansionSpec((), bit_array([1, 0, 1, 1], dtype))
         assert sum(spec.period) == 3
-        empty = np.array([], dtype=dtype)
+        empty = bit_array([], dtype)
         assert ExpansionSpec(empty, empty) == ExpansionSpec((), ())
 
     def test_expansion_spec(self, dtype):
-        spec = ExpansionSpec((), np.array([1, 1], dtype=dtype))
+        spec = ExpansionSpec((), bit_array([1, 1], dtype))
         assert spec == ExpansionSpec((), (1, 1))
         assert all(type(b) is int for b in spec.period)
-        spec = ExpansionSpec(np.array([1, 0], dtype=dtype),
-                             np.array([0, 1, 1], dtype=dtype))
+        period = bit_array([0, 1, 1], dtype)
+        spec = ExpansionSpec(bit_array([1, 0], dtype), period)
         assert spec == ExpansionSpec((1, 0), (0, 1, 1))
+        if dtype is bytes:  # validated in place, not copied
+            assert spec.period is period
         assert expansion_to_real(spec) == Fraction(17, 28)
 
 
 @pytest.mark.parametrize("bad", ["0101", "", 3, True, [1.0, 0.0], [0, 2],
                                  [1, -1], np.array([1.0, 0.0]),
                                  np.array([[1, 0]]), np.array(1),
-                                 np.array([0, 2])])
+                                 np.array([0, 2]), b"01", bytes((0, 2))])
 def test_bit_validation_rejects(bad):
     with pytest.raises(ValueError):
         ExpansionSpec(bad, ())

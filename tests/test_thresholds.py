@@ -30,7 +30,7 @@ def estimate(prefix, **kwargs):
 
 def digits(spec, n):
     """First n digits of an expansion; a terminating one goes on in 0s."""
-    return (spec.preamble + (spec.period or (0,)) * n)[:n]
+    return list((spec.preamble + (spec.period or b"\0") * n)[:n])
 
 
 def bisect_oracle(f, lo, hi, iters=200):
@@ -194,7 +194,9 @@ class TestPeriodFixedPoints:
 
     @pytest.mark.parametrize("period", [[0], [1], [0, 0], [1, 1, 1], []])
     def test_trivial_period_rejected(self, period):
-        with pytest.raises(TrivialPeriodError):
+        # The message spells the bits as digits, not as bytes escapes.
+        text = "".join(map(str, period))
+        with pytest.raises(TrivialPeriodError, match=f"^period '{text}' "):
             period_fixed_points(period)
 
     @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.bool_])
@@ -204,7 +206,7 @@ class TestPeriodFixedPoints:
         assert got == period_fixed_points(period)
 
     @pytest.mark.parametrize("bad", ["0101", [1.0, 0.0], np.array([1.0, 0.0]),
-                                     [1, 0, 2]])
+                                     [1, 0, 2], b"01"])
     def test_bad_bits_rejected(self, bad):
         with pytest.raises(ValueError):
             period_fixed_points(bad)
@@ -299,11 +301,12 @@ class TestThresholdOfRational:
         # give it.  1^20 0^99980 takes z near 2^-99980, far below
         # binary64, before 20 square roots bring it back near 0.94.
         spec = real_to_expansion(Fraction(3 * a + 1, 3 << k))
-        assert len(spec.preamble) >= 20 and spec.period in ((0, 1), (1, 0))
+        assert len(spec.preamble) >= 20
+        assert spec.period in (bytes((0, 1)), bytes((1, 0)))
         with decimal.localcontext() as ctx:
             ctx.prec = 60
             r = (3 - Decimal(5).sqrt()) / 2
-            z, y = (r, 1 - r) if spec.period == (0, 1) else (1 - r, r)
+            z, y = (r, 1 - r) if spec.period == bytes((0, 1)) else (1 - r, r)
             for b in reversed(spec.preamble):
                 if b:
                     s = z.sqrt()
@@ -316,10 +319,37 @@ class TestThresholdOfRational:
 
     def test_long_preamble_cost(self):
         # A wide step costs the same at any scale, so a 10^5-bit preamble
-        # takes about 0.2 s; theta, near 0.38 * 2^-100000, rounds to 0.
+        # takes about 0.2 s; theta, near 0.38 * 2^-100000, is past binary64.
         start = time.process_time()
-        assert threshold_of_rational(Fraction(1, 3 << 100000)).theta == 0.0
+        with pytest.raises(ResourceLimitError, match="too close to 0 or 1"):
+            threshold_of_rational(Fraction(1, 3 << 100000))
         assert time.process_time() - start < 10.0
+
+    @pytest.mark.parametrize("x", [Fraction(1, 3 << 1100),
+                                   1 - Fraction(1, 3 << 1100)],
+                             ids=["theta", "complement"])
+    def test_pulled_back_past_binary64_raises(self, x):
+        # A preamble of 1100 0s (1s) pulls the root of 01 (10) to near
+        # 0.38 * 2^-1100 (1 minus it), below the least subnormal: theta, or
+        # its complement, would be 0.0, which is not reported as a root.
+        spec = real_to_expansion(x)
+        with pytest.raises(ResourceLimitError, match="too close to 0 or 1"):
+            period_fixed_points(spec.period, spec.preamble)
+        with pytest.raises(ResourceLimitError, match="too close to 0 or 1"):
+            threshold_of_rational(x)
+
+    @pytest.mark.parametrize("k,tiny", [(1060, 3.895e-320),
+                                        (60, 4.1738472492426927e-19)])
+    def test_pulled_back_pair_holds_tiny_roots(self, k, tiny):
+        # Near 0 theta keeps its subnormal or normal value; near 1 it rounds
+        # to 1.0 while the complement keeps the same value, so neither is
+        # past binary64.
+        x = Fraction(1, 3 << k)
+        assert threshold_of_rational(x).theta == tiny
+        spec = real_to_expansion(1 - x)
+        report = period_fixed_points(spec.period, spec.preamble)
+        assert (report.interior, report.complements) == ((1.0,), (tiny,))
+        assert threshold_of_rational(1 - x).theta == 1.0
 
     @pytest.mark.parametrize("k", range(9, 31))
     def test_near_one_roots(self, k):
@@ -329,13 +359,26 @@ class TestThresholdOfRational:
         # theta(1 - x) up to the rounding of their sum.
         x = Fraction((1 << k) - 1, (1 << (k + 1)) - 1)
         spec = real_to_expansion(x)
-        assert spec.period == (0,) + (1,) * k and not spec.preamble
+        assert spec.period == bytes((0,) + (1,) * k) and not spec.preamble
         with decimal.localcontext() as ctx:
             ctx.prec = 60
             want = decimal_bisect(spec.period, Decimal(0), Decimal(1), 200)
         theta = threshold_of_rational(x).theta
         assert abs(Decimal(theta) - want) <= 2 * Decimal(math.ulp(theta))
         assert symmetry_defect(x) <= 2.0 ** -52
+
+    def test_long_period_memory(self):
+        # The 2^20-bit period of 1/1048573 goes to the root passes as bytes,
+        # repeated, sliced and reversed as bytes: about 3 MiB of tracemalloc
+        # peak, where tuples of its bits took 32 MiB.
+        thresholds._threshold_cached.cache_clear()
+        tracemalloc.start()
+        try:
+            threshold_of_rational(Fraction(1, 1048573))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 << 20
 
     def test_pinned_threshold_digits(self):
         # tests/test_cli.py pins the digits of theta(6394/30375), whose
@@ -366,7 +409,7 @@ class TestThresholdOfRational:
         # so only a relative stop keeps its digits.
         x = Fraction(1, (1 << k) - 1)
         bits = (0,) * (k - 1) + (1,)
-        assert real_to_expansion(x).period == bits
+        assert real_to_expansion(x).period == bytes(bits)
         with decimal.localcontext() as ctx:
             ctx.prec = 60
             hi = Decimal(1) / 2
@@ -709,10 +752,29 @@ def test_trivial_rows_are_exact():
     # pass; iterated, they would take about 1075 steps to saturate.
     for width in (1, 2, 57, 4096):
         rows = np.zeros((3, width), dtype=np.uint8)
-        rows[1], rows[2, -1] = 1, 1
+        rows[1], rows[2, 1::2] = 1, 1
         got = threshold_estimate_batch(rows)
         assert hexes(got[:2]) == hexes([0.0, 1.0]), width
     assert threshold_estimate_batch(rows[:0]).shape == (0,)
+
+
+@pytest.mark.parametrize("row", [[0] * 2000 + [1], [1] * 2000 + [0],
+                                 [1] + [0] * 2000, [0] + [1] * 2000,
+                                 [0] * 4095 + [1]],
+                         ids=["0^2000-1", "1^2000-0", "1-0^2000", "0-1^2000",
+                              "0^4095-1"])
+def test_estimator_root_past_binary64_raises(row):
+    # The roots that period_fixed_points rejects: a coordinate of the pair
+    # reaches 0.0, where the passes stay, so the row would end at exactly
+    # 0.0 or 1.0.  The 0.0 ends a pass in either coordinate of the step
+    # (z or y, the one the last bit takes the root of or the other).  The
+    # whole batch raises, not only the row.
+    width = len(row)
+    rows = np.array([row, [0] * width, [1] * width, ([1, 0] * width)[:width]])
+    with pytest.raises(ResourceLimitError, match="too close to 0 or 1"):
+        threshold_estimate_batch(rows)
+    with pytest.raises(ResourceLimitError, match="too close to 0 or 1"):
+        period_fixed_points(row)
 
 
 def test_estimator_pass_cap(monkeypatch):
@@ -879,12 +941,15 @@ def doubling_period(x):
             return bits
 
 
-def exact_gap(z, bits):
-    """p(z) - z in exact rational arithmetic."""
-    v = z
+def exact_gap_sign(z, bits):
+    """The sign of p(z) - z, exactly: z = a / c runs as the integer pair
+    (a, c), bit 1 to (a^2, c^2) and bit 0 to (a (2c - a), c^2), with no
+    gcd taken, and p(z) = a / c is set against z by cross-multiplication."""
+    a, c = z.numerator, z.denominator
     for b in bits:
-        v = v * v if b else v * (2 - v)
-    return v - z
+        a, c = a * a if b else a * (2 * c - a), c * c
+    left, right = a * z.denominator, z.numerator * c
+    return (left > right) - (left < right)
 
 
 def test_thresholds_agree_with_independent_oracles():
@@ -906,7 +971,9 @@ def test_thresholds_agree_with_independent_oracles():
         assert abs(theta - estimate(period)) <= 1e-13, x
         if len(period) <= 12:
             short += 1
-            below = exact_gap(Fraction(theta) - Fraction(1, 10**9), period)
-            above = exact_gap(Fraction(theta) + Fraction(1, 10**9), period)
+            below = exact_gap_sign(Fraction(theta) - Fraction(1, 10**9),
+                                   period)
+            above = exact_gap_sign(Fraction(theta) + Fraction(1, 10**9),
+                                   period)
             assert below * above < 0, x
     assert short >= 14
