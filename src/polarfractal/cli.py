@@ -2,8 +2,9 @@
 
 Subcommands: threshold, plot-fractal, construct, measure, selfsim, heavy,
 walk, entropy.  Output is deterministic given the flags; every stochastic
-path requires --seed.  Exit codes: 0 ok, 1 usage or parse error, 2
-violation or defect found, 3 resource limit.
+path requires --seed.  Exit codes: 0 ok, 1 usage or parse error or an
+output that cannot be opened or written, 2 violation or defect found, 3
+resource limit.
 """
 
 from __future__ import annotations
@@ -393,7 +394,7 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceLimitError as exc:

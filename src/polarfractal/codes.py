@@ -92,7 +92,7 @@ class GeneratorMatrix:
 
     ``packed`` is a (row count, ceil(2^n / 8)) uint8 array, eight columns
     to a byte with the bits little-endian and the padding bits clear: the
-    body layout of :func:`matrix_to_bytes`.  ``rows`` unpacks it to a
+    body layout of :func:`matrix_bytes_blocks`.  ``rows`` unpacks it to a
     (row count, 2^n) 0/1 uint8 array on each read.
     """
 
@@ -268,18 +268,8 @@ def matrix_bytes_blocks(gm: GeneratorMatrix):
     yield np.ascontiguousarray(gm.packed)
 
 
-def matrix_to_text(gm: GeneratorMatrix) -> bytes:
-    """The text export of :func:`matrix_text_blocks` as one bytes."""
-    return b"".join(matrix_text_blocks(gm))
-
-
-def matrix_to_bytes(gm: GeneratorMatrix) -> bytes:
-    """The binary export of :func:`matrix_bytes_blocks` as one bytes."""
-    return b"".join(matrix_bytes_blocks(gm))
-
-
 def matrix_from_bytes(blob: bytes) -> GeneratorMatrix:
-    """Inverse of :func:`matrix_to_bytes`."""
+    """Inverse of :func:`matrix_bytes_blocks`, joined."""
     if blob[:4] != _MATRIX_MAGIC:
         raise ValueError("bad magic; not a packed Kronecker matrix")
     n, count = struct.unpack("<II", blob[4:12])
@@ -351,8 +341,3 @@ def index_set_json_blocks(index_set: IndexSet):
                        **index_set.meta})
     return decimal_blocks(index_set.array, head[:-1] + ', "indices": [',
                           ", ", "]}")
-
-
-def index_set_to_json(index_set: IndexSet) -> str:
-    """The JSON object of :func:`index_set_json_blocks` as one str."""
-    return "".join(index_set_json_blocks(index_set))

@@ -22,9 +22,6 @@ _SUBTREE_DEPTH = 20
 
 _DOMAIN_TOL = 1e-12
 
-# Bits between two saturation checks in ``apply_path_array``.
-_SATURATION_CHECK_BITS = 16
-
 
 def _check_unit(z: float, name: str = "z") -> float:
     """Validate z in [0,1] up to 1e-12 slack, clamping roundoff excess."""
@@ -41,51 +38,10 @@ def apply_path(z: float, bits: Sequence[int]) -> float:
 
     The first bit is applied first (innermost).  Evaluation always
     iterates the one-step maps; the composed polynomial is never expanded.
-
-    Iteration stops once the value is exactly 0.0 or 1.0, which is exact:
-    both are fixed points of z*z and z*(2-z) in binary64, so the remaining
-    bits cannot change the result.  Only a square can reach 0.0 (by
-    underflow) and only a worse step can reach 1.0 (by rounding), so each
-    branch checks for its own value.  A square is never -0.0, so the sign
-    of zero also comes out as in the full loop: a -0.0 input stays -0.0
-    through worse steps until the first square.  An orbit that leaves a
-    repelling fixed point saturates within a few dozen to a few hundred
-    bits, so the rest of a long path costs nothing, except a run of 0
-    bits from v = 1 - 2^-53: the worse step fixes that v (2.0 - v rounds
-    to 1.0), so the loop walks the whole run.
     """
     v = _check_unit(z)
     for b in bits:
-        if b:
-            v = v * v
-            if v == 0.0:
-                break
-        else:
-            v = v * (2.0 - v)
-            if v == 1.0:
-                break
-    return v
-
-
-def apply_path_array(z: np.ndarray, bits: Sequence[int]) -> np.ndarray:
-    """Vectorized ``apply_path`` over an array of z values.
-
-    Like ``apply_path``, stops once every value is exactly 0.0 (of either
-    sign) or 1.0, then squares once if a 1 bit remains, so that -0.0 ends
-    as +0.0 exactly as in the full loop.  The check costs about one step,
-    so it runs every ``_SATURATION_CHECK_BITS`` bits.
-    """
-    v = np.asarray(z, dtype=np.float64).copy()
-    bits = iter(bits)
-    for i, b in enumerate(bits, 1):
-        if b:
-            np.multiply(v, v, out=v)
-        else:
-            v *= 2.0 - v
-        if i % _SATURATION_CHECK_BITS == 0 and ((v == 0.0) | (v == 1.0)).all():
-            if any(bits):
-                np.multiply(v, v, out=v)
-            break
+        v = v * v if b else v * (2.0 - v)
     return v
 
 

@@ -11,7 +11,8 @@ end it, preamble included, in 96-bit steps that round theta once (sampled
 within 1 ulp); plot rows stay in binary64 (a few ulps).  Uniqueness is
 open: ``FixedPointReport.interior`` holds one root, or both ends if they
 do not meet, of which thresholds and the plot take the largest.  Costs
-are linear: 0.23 s for 1/1048573, 0.2 s for a 10^5-bit preamble (Xeon).
+are linear: 0.12 s for 1/1048573, 0.08 s for the 10^5-bit preamble of
+(2^100000 + 1)/(3 * 2^100000) (2-core Xeon).
 """
 
 from __future__ import annotations

@@ -1,6 +1,10 @@
 import argparse
+import builtins
 import hashlib
+import importlib
+import inspect
 import io
+import keyword
 import json
 import os
 import re
@@ -207,6 +211,17 @@ class TestConstruct:
         assert run(argv) == (1, "")
         n = argv[argv.index("--n") + 1]
         assert capsys.readouterr().err == f"error: depth must be >= 0, got {n}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["plot-fractal", "-m", "2", "-o"],
+    ["construct", "rm", "--n", "3", "--r", "1", "--matrix-out"]])
+def test_unwritable_output_exits_1(argv, tmp_path, capsys):
+    target = tmp_path / "missing" / "f"
+    assert run([*argv, str(target)]) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(target) in err, err
+    assert not target.parent.exists()
 
 
 class TestMeasure:
@@ -649,3 +664,42 @@ def test_readme_documents_every_flag():
                   if not re.search(re.escape(f) + r"(?![\w-])", readme)) == []
     assert sorted(f for f in set(re.findall(r"--[a-z][\w-]*", readme))
                   if f not in cli_flags and f'"{f}"' not in scripts) == []
+
+
+def library_table():
+    """README's Library table: the module of each row and the names its
+    contents cell gives in backticks, bare or as a call, in snake_case or
+    CamelCase (so not ``KPCM`` or ``plot-fractal``)."""
+    with open(README) as fh:
+        readme = fh.read()
+    table = {}
+    for module, cell in re.findall(r"^\| `polarfractal\.(\w+)` \| (.*) \|$",
+                                   readme, flags=re.M):
+        table[module] = {m[1] for m in (
+            re.fullmatch(r"([a-z_][a-z0-9_]*|[A-Z][a-z]\w*)(\(.*\))?", span)
+            for span in re.findall(r"`([^`]*)`", cell)) if m}
+    return table
+
+
+def test_readme_library_table_matches_the_package():
+    table = library_table()
+    # Every export is named in the row of the module that defines it.
+    exported = {name: value for name, value in vars(polarfractal).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    assert sorted(name for name, value in exported.items()
+                  if name not in table.get(value.__module__.split(".")[-1],
+                                           ())) == []
+    # Every name of a row is in its module, is a field or attribute of a
+    # class or a parameter of a function that the row names, or is a
+    # subcommand, a builtin or a keyword.
+    commands = next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    for module_name, names in table.items():
+        module = importlib.import_module(f"polarfractal.{module_name}")
+        known = {*vars(module), *commands, *dir(builtins), *keyword.kwlist}
+        for obj in (getattr(module, name, None) for name in names):
+            if inspect.isclass(obj):
+                known |= {*dir(obj), *getattr(obj, "__annotations__", ())}
+            elif callable(obj):
+                known |= set(inspect.signature(obj).parameters)
+        assert sorted(names - known) == [], module_name

@@ -13,12 +13,26 @@ from hypothesis import strategies as st
 from polarfractal import codes
 from polarfractal.codes import (IndexSet, decimal_blocks, generator_matrix,
                                 heavy_membership, index_set_json_blocks,
-                                index_set_to_json, kronecker_row,
+                                kronecker_row, matrix_bytes_blocks,
                                 matrix_from_bytes, matrix_text_blocks,
-                                matrix_to_bytes, matrix_to_text,
                                 polar_index_set, rm_index_set)
 from polarfractal.errors import ResourceLimitError
 from polarfractal.polarization import bec_leaf_values
+
+
+def text_export(gm):
+    """The whole text export, as ``construct --matrix-out`` writes it."""
+    return b"".join(matrix_text_blocks(gm))
+
+
+def binary_export(gm):
+    """The whole binary export, as ``construct --matrix-out`` writes it."""
+    return b"".join(matrix_bytes_blocks(gm))
+
+
+def json_export(index_set):
+    """The whole JSON object, as ``construct --json`` writes it."""
+    return "".join(index_set_json_blocks(index_set))
 
 
 def full_kronecker(n):
@@ -331,7 +345,7 @@ class TestIndexSetValidation:
                      kind="reed-muller", meta={"order": 2})
         assert s.indices == (3, 9, 15)
         assert all(type(h) is int for h in s.indices)
-        assert json.loads(index_set_to_json(s))["indices"] == [3, 9, 15]
+        assert json.loads(json_export(s))["indices"] == [3, 9, 15]
         assert IndexSet(n=2, indices=(), kind="polar").indices == ()
 
     def test_array_is_read_only_int64(self):
@@ -365,34 +379,34 @@ class TestExports:
                           polar_index_set(0.4, 6, 23), polar_index_set(0.4, 6, 0),
                           IndexSet(n=3, indices=(), kind="polar")):
             gm = generator_matrix(index_set)
-            assert matrix_to_text(gm) == per_cell_text(gm).encode()
-        assert matrix_to_text(generator_matrix(polar_index_set(0.5, 3, 0))) == b"\n"
+            assert text_export(gm) == per_cell_text(gm).encode()
+        assert text_export(generator_matrix(polar_index_set(0.5, 3, 0))) == b"\n"
 
     def test_text_format(self):
         gm = generator_matrix(rm_index_set(1, 2))
-        assert matrix_to_text(gm) == b"1100\n1010\n1111\n"
+        assert text_export(gm) == b"1100\n1010\n1111\n"
 
     def test_binary_round_trip(self):
         gm = generator_matrix(rm_index_set(2, 4))
-        back = matrix_from_bytes(matrix_to_bytes(gm))
+        back = matrix_from_bytes(binary_export(gm))
         assert back.n == 4
         assert np.array_equal(back.rows, gm.rows)
         empty = generator_matrix(polar_index_set(0.5, 3, 0))
-        assert matrix_from_bytes(matrix_to_bytes(empty)).rows.shape == (0, 8)
+        assert matrix_from_bytes(binary_export(empty)).rows.shape == (0, 8)
         for index_set in (rm_index_set(0, 0), rm_index_set(1, 1),
                           rm_index_set(1, 2), rm_index_set(2, 5),
                           polar_index_set(0.4, 6, 23), rm_index_set(3, 10),
                           polar_index_set(0.5, 3, 0)):
-            blob = matrix_to_bytes(generator_matrix(index_set))
-            assert matrix_to_bytes(matrix_from_bytes(blob)) == blob
+            blob = binary_export(generator_matrix(index_set))
+            assert binary_export(matrix_from_bytes(blob)) == blob
         # Rows narrower than a byte (n < 3) read back with their padding
         # bits cleared, so a blob with them set gives the canonical one.
         for n in range(0, 3):
             gm = generator_matrix(rm_index_set(n, n))
-            blob = matrix_to_bytes(gm)
+            blob = binary_export(gm)
             pad = 0xFF & (0xFF << (1 << n))
             back = matrix_from_bytes(blob[:12] + bytes(c | pad for c in blob[12:]))
-            assert matrix_to_bytes(back) == blob
+            assert binary_export(back) == blob
             assert np.array_equal(back.rows, gm.rows)
 
     def test_binary_export_stays_packed(self):
@@ -401,7 +415,7 @@ class TestExports:
         index_set = rm_index_set(6, 13)
         tracemalloc.start()
         try:
-            blob = matrix_to_bytes(generator_matrix(index_set))
+            blob = binary_export(generator_matrix(index_set))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -414,7 +428,7 @@ class TestExports:
         gm = generator_matrix(polar_index_set(0.4, 11, 1536))
         tracemalloc.start()
         try:
-            text = matrix_to_text(gm)
+            text = text_export(gm)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -429,7 +443,7 @@ class TestExports:
         blocks = list(matrix_text_blocks(gm))
         assert len(blocks) > 2
         assert all(b.nbytes <= codes._TEXT_BLOCK_BYTES for b in blocks)
-        assert b"".join(blocks) == matrix_to_text(gm) == want.tobytes()
+        assert b"".join(blocks) == want.tobytes()
         # Blocks narrower than a row cut it into pieces, and only a row's
         # last piece ends in a newline.
         for size in (8, 16, 72, 4096):
@@ -462,13 +476,13 @@ class TestExports:
 
     def test_binary_header(self):
         gm = generator_matrix(rm_index_set(1, 3))
-        blob = matrix_to_bytes(gm)
+        blob = binary_export(gm)
         assert blob[:4] == b"KPCM"
         with pytest.raises(ValueError):
             matrix_from_bytes(b"XXXX" + blob[4:])
 
     def test_json_schema(self):
-        doc = json.loads(index_set_to_json(rm_index_set(1, 2)))
+        doc = json.loads(json_export(rm_index_set(1, 2)))
         assert doc == {"kind": "reed-muller", "n": 2, "order": 1,
                        "indices": [1, 2, 3]}
 
@@ -493,10 +507,10 @@ class TestDecimalWriter:
             for chosen in (values[:k], values[k:], values[::k or 1]):
                 s = IndexSet(n=26, indices=chosen, kind="polar",
                              meta={"eps": 0.25, "size": len(chosen)})
-                assert index_set_to_json(s) == reference_json(s)
+                assert json_export(s) == reference_json(s)
         wide = [0, 9, 10 ** 17, 10 ** 18 - 1, 10 ** 18, (1 << 63) - 1]
         s = IndexSet(n=63, indices=wide, kind="heavy", meta={"rho": "1/3"})
-        assert index_set_to_json(s) == reference_json(s)
+        assert json_export(s) == reference_json(s)
         assert (decimal_list(s.array, "indices = ", " ", "")
                 == "indices = " + " ".join(map(str, wide)))
 
@@ -520,7 +534,7 @@ class TestDecimalWriter:
         sets += [rm_index_set(n, n) for n in range(0, 15)]
         sets += [polar_index_set(0.7, n, 1 << n) for n in (1, 10, 14)]
         for s in sets:
-            assert index_set_to_json(s) == reference_json(s)
+            assert json_export(s) == reference_json(s)
             for sep in (" ", ", "):
                 assert (decimal_list(s.array, "indices = ", sep, "")
                         == "indices = " + sep.join(map(str, s.indices)))
@@ -563,4 +577,4 @@ class TestDecimalWriter:
             for size in (1, 2, 17, 1000):
                 chosen = rng.choice(1 << n, size=min(size, 1 << n), replace=False)
                 s = IndexSet(n=n, indices=chosen, kind="polar")
-                assert index_set_to_json(s) == reference_json(s)
+                assert json_export(s) == reference_json(s)

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from polarfractal import polarization
 from polarfractal.errors import ResourceLimitError
 from polarfractal.polarization import (_check_unit, apply_path,
-                                       apply_path_array, bec_leaf_counts,
-                                       bec_leaf_values)
+                                       bec_leaf_counts, bec_leaf_values)
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 bit_lists = st.lists(st.integers(min_value=0, max_value=1), max_size=12)
@@ -274,8 +273,8 @@ def test_settled_bounds_are_exact_float_boundaries(delta):
         above_g, below_h = math.nextafter(g[d], 1.0), math.nextafter(h[d], 0.0)
         assert steps(worse_max, g[d], d) <= delta < steps(worse_max, above_g, d)
         assert apply_path(g[d], [0] * d) <= delta
-        better_d = apply_path_array(np.array([h[d], below_h]), [1] * d)
-        assert better_d[0] >= 1.0 - delta > better_d[1], d
+        assert (apply_path(h[d], [1] * d) >= 1.0 - delta
+                > apply_path(below_h, [1] * d)), d
 
 
 @pytest.mark.parametrize("eps, delta", [
@@ -318,8 +317,10 @@ def test_leaf_counts_split_only_unsettled_nodes(eps, delta, monkeypatch):
     want = (1 << split) - 1
     for k in range(split, top):
         z = bec_leaf_values(eps, k)
-        unsettled = ((worse_max(z, top - k) > delta)
-                     & (apply_path_array(z, [1] * (top - k)) < 1.0 - delta))
+        better = z.copy()
+        for _ in range(top - k):
+            better *= better
+        unsettled = (worse_max(z, top - k) > delta) & (better < 1.0 - delta)
         want += int(unsettled.sum())
     assert sum(split_sizes) == want
     assert want < (1 << top) - 1
@@ -330,67 +331,13 @@ def test_leaf_list_resource_limit():
         bec_leaf_values(0.5, 25)
 
 
-def test_apply_path_array_matches_scalar():
-    grid = np.linspace(0.0, 1.0, 101)
-    bits = [1, 0, 0, 1, 1]
-    vec = apply_path_array(grid, bits)
-    for z, v in zip(grid, vec):
-        assert apply_path(z, bits) == v
-
-
-def full_loop(z, bits):
-    """Every step of the path, with no early exit: the reference."""
-    v = z
-    for b in bits:
-        v = v * v if b else v * (2.0 - v)
-    return v
-
-
-def long_paths():
-    rng = random.Random(20150617)
-    paths = [[rng.randrange(2) for _ in range(rng.randrange(5000, 9000))]
-             for _ in range(3)]
-    # Saturated values meet a long run of worse steps, then one squaring
-    # or none: the sign of zero must come out as in the full loop.
-    paths.append([0] * 5000)
-    paths.append([0] * 5000 + [1])
-    paths.append(paths[0][:64] + [0] * 5000)
-    paths.append([1] + [0] * 5000)
-    return paths
-
-
-SATURATED = (0.0, -0.0, 1.0)
-
-
 def same_float(a, b):
     return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
-
-
-def test_apply_path_saturation_exit_matches_full_loop():
-    grid = np.linspace(0.0, 1.0, 257).tolist()
-    for bits in long_paths():
-        for z in (*SATURATED, *grid):
-            assert same_float(apply_path(z, bits), full_loop(z, bits)), (z, len(bits))
-
-
-def same_array(a, b):
-    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
-
-
-def test_apply_path_array_saturation_exit_matches_full_loop():
-    z = np.concatenate([SATURATED, np.linspace(0.0, 1.0, 257)])
-    for bits in long_paths():
-        want = np.array([full_loop(float(v), bits) for v in z])
-        assert same_array(apply_path_array(z, bits), want)
-        # Saturated from the start: the exit is taken at the first check.
-        assert same_array(apply_path_array(np.array(SATURATED), bits), want[:3])
 
 
 def test_negative_zero_squared_to_positive_zero():
     assert same_float(apply_path(-0.0, [1]), 0.0)
     assert same_float(apply_path(-0.0, [0, 0]), -0.0)
-    assert same_float(float(apply_path_array(np.array([-0.0]), [0] * 40 + [1])[0]),
-                      0.0)
 
 
 def clamping_check_unit(z, name="z"):
