@@ -14,7 +14,7 @@ from .fractal import (HeavyImplicationViolation, MeasureEstimate,
                       measure_scan, selfsim_threshold_check,
                       walk_distribution, walk_min_nonnegative_fraction)
 from .polarization import apply_path, bec_leaf_counts, bec_leaf_values
-from .thresholds import (Certainty, FixedPointReport, ThresholdResult,
+from .thresholds import (FixedPointReport, ThresholdResult,
                          period_fixed_points, threshold_curve,
                          threshold_estimate_batch, threshold_of_rational)
 

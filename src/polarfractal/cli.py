@@ -17,7 +17,6 @@ import json
 import math
 import random
 import sys
-from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
@@ -31,7 +30,8 @@ EXIT_VIOLATION = 2
 EXIT_RESOURCE = 3
 
 _PLOT_DEFAULT_DEPTH = 40
-_SELFSIM_DEFAULT_QMAX = 300
+# selfsim samples p/q with q up to this, raised to 3*2^n at cell depth n.
+_SELFSIM_QMAX = 300
 # selfsim caps: cell depth (as plot-fractal -m) and samples over all cells.
 _SELFSIM_MAX_N = 16
 _SELFSIM_MAX_CHECKS = 1 << 12
@@ -65,14 +65,12 @@ def _csv(out, header: str, rows) -> None:
 
 def _record(obj) -> dict:
     """The fields of a result record in definition order, Fractions as
-    their str and enums by value: the JSON form of the record."""
+    their str: the JSON form of the record."""
     doc = {}
     for field in dataclasses.fields(obj):
         value = getattr(obj, field.name)
         if isinstance(value, Fraction):
             value = str(value)
-        elif isinstance(value, Enum):
-            value = value.value
         doc[field.name] = value
     return doc
 
@@ -150,7 +148,6 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=20, help="samples per cell")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--rho", help="heavy exponent (required for --set heavy)")
-    p.add_argument("--denominator-max", type=int, default=_SELFSIM_DEFAULT_QMAX)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("heavy", help="heavy-set membership of a rational")
@@ -185,7 +182,7 @@ def _cmd_threshold(args, out) -> int:
     else:
         _print(out, f"x = {x}")
         _print(out, f"theta = {_fmt(result.theta)}")
-        _print(out, f"certainty = {result.certainty.value}")
+        _print(out, f"certainty = {result.certainty}")
         _print(out, f"multiple_interior_fixed_points = "
                     f"{str(result.multiplicity_flag).lower()}")
     return EXIT_OK
@@ -243,19 +240,19 @@ def _cmd_measure(args, out) -> int:
     return EXIT_OK
 
 
-def _random_cell_samples(rng: random.Random, n: int, k: int, count: int,
-                         qmax: int) -> list[Fraction]:
+def _random_cell_samples(rng: random.Random, n: int, k: int,
+                         count: int) -> list[Fraction]:
     lo, hi = fractal.cell_bounds(n, k)
     # Cells of width 2^-n always contain non-dyadic p/(3*2^n), so widen the
-    # denominator universe when the requested cap cannot reach the cell.
-    qmax = max(qmax, 3 << n)
+    # denominator universe when the cap cannot reach the cell.
+    qmax = max(_SELFSIM_QMAX, 3 << n)
     samples = []
     attempts = 0
     while len(samples) < count:
         attempts += 1
         if attempts > 100_000 * max(count, 1):
             raise _UsageError(
-                f"could not sample cell {k} at depth {n}; raise --denominator-max")
+                f"could not sample cell {k} at depth {n}")
         q = rng.randrange(3, qmax + 1)
         # The numerators strictly inside the cell: lo < p/q < hi.
         lo_p = math.floor(lo * q) + 1
@@ -270,8 +267,8 @@ def _random_cell_samples(rng: random.Random, n: int, k: int, count: int,
 
 
 def _cmd_selfsim(args, out) -> int:
-    if args.set == "heavy" and args.rho is None:
-        raise _UsageError("--rho is required for --set heavy")
+    if (args.set == "heavy") != (args.rho is not None):
+        raise _UsageError("--rho is required for --set heavy and used nowhere else")
     if args.samples < 1:
         raise _UsageError(f"--samples must be >= 1, got {args.samples}")
     if args.n < 0:
@@ -286,8 +283,7 @@ def _cmd_selfsim(args, out) -> int:
     checked = 0
     violations = []
     for k in cells:
-        samples = _random_cell_samples(rng, args.n, k, args.samples,
-                                       args.denominator_max)
+        samples = _random_cell_samples(rng, args.n, k, args.samples)
         checked += len(samples)
         if args.set == "threshold":
             violations.extend(fractal.selfsim_threshold_check(samples, args.n, k))
@@ -318,6 +314,10 @@ def _cmd_heavy(args, out) -> int:
 
 
 def _cmd_walk(args, out) -> int:
+    if args.exhaustive and (args.min_nonneg or args.trials is not None
+                            or args.seed is not None):
+        raise _UsageError(
+            "--exhaustive takes none of --min-nonneg, --trials and --seed")
     if args.min_nonneg:
         if args.trials is None or args.seed is None:
             raise _UsageError("--min-nonneg requires --trials and --seed")

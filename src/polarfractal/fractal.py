@@ -10,6 +10,7 @@ for the quasi self-similar inclusions.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -34,7 +35,14 @@ _CHUNK_TRIALS = 1 << 14
 # so one worker holds at most about 45 MiB at this budget.
 _MAX_CHUNK_BYTES = 1 << 25
 
+# Most chunks one Monte Carlo run may take: 2^28 trials.
+_MAX_CHUNKS = 1 << 14
+
 _MAX_EXHAUSTIVE_WALK = 25
+
+# Largest horizon of ``entropy_count``, whose float64 arrays of n terms
+# then peak near 40 MiB.
+_MAX_ENTROPY_N = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -97,7 +105,8 @@ def _mc_accumulate(trials: int, seed: int, threads: int, n: int,
     (the bytes ``Generator.integers(0, 256, dtype=np.uint8)`` gives), so
     the total is the same bit for bit whatever ``threads``.  No more
     threads than chunks or usable CPUs are started, and a chunk above
-    ``_MAX_CHUNK_BYTES`` raises ``ResourceLimitError`` before any draw.
+    ``_MAX_CHUNK_BYTES`` or more than ``_MAX_CHUNKS`` chunks raise
+    ``ResourceLimitError`` before any draw.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -108,15 +117,14 @@ def _mc_accumulate(trials: int, seed: int, threads: int, n: int,
         raise ResourceLimitError(
             f"a Monte Carlo chunk of {rows} paths of {n} steps exceeds "
             f"{_MAX_CHUNK_BYTES} packed bytes; lower the horizon or the trials")
-    jobs = []
-    done = 0
-    while done < trials:
-        count = min(_CHUNK_TRIALS, trials - done)
-        jobs.append((len(jobs), count))
-        done += count
+    chunks = -(-trials // _CHUNK_TRIALS)
+    if chunks > _MAX_CHUNKS:
+        raise ResourceLimitError(
+            f"{trials} Monte Carlo trials exceed {_MAX_CHUNKS} chunks of "
+            f"{_CHUNK_TRIALS} paths; lower the trials")
 
-    def run(job: tuple[int, int]) -> np.ndarray:
-        i, count = job
+    def run(i: int) -> np.ndarray:
+        count = min(_CHUNK_TRIALS, trials - i * _CHUNK_TRIALS)
         size = count * width
         raw = np.random.Philox(key=seed).jumped(i).random_raw(-(-size // 8))
         packed = raw.astype("<u8", copy=False).view(np.uint8)[:size]
@@ -124,16 +132,11 @@ def _mc_accumulate(trials: int, seed: int, threads: int, n: int,
 
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    workers = min(threads, len(jobs), cpus)
+    workers = min(threads, chunks, cpus)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
-    out = results[0].copy()
-    for r in results[1:]:
-        out += r
-    return out
+            return functools.reduce(np.add, pool.map(run, range(chunks)))
+    return functools.reduce(np.add, map(run, range(chunks)))
 
 
 def _step_major(packed: np.ndarray, n: int) -> np.ndarray:
@@ -174,38 +177,34 @@ def measure_scan(eps: float, depths: Sequence[int], delta: float = 1e-3,
     0 < delta < 1/2.  Depths up to 24 are counted exactly, all in one
     pass that stops splitting a node once every leaf below it is sure to
     be good, or bad (``bec_leaf_counts``); beyond that paths are Monte
-    Carlo sampled, which requires ``mc_trials`` and ``seed``.  All sampled
-    depths are read off the same paths, so their rows are correlated.  The
-    fractions trend toward 1 - eps and eps.
+    Carlo sampled, which requires ``mc_trials`` and ``seed``.  Every depth
+    is checked before any path is drawn.  All sampled depths are read off
+    the same paths, so their rows are correlated.  The fractions trend
+    toward 1 - eps and eps.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    # Exact depths come from one pass, which also checks delta; depth
-    # checks still run in depth order.
+    # Exact depths come from one pass, which also checks delta.
     exact = [n for n in depths if 0 <= n <= MAX_LEAF_LIST_DEPTH]
-    exact_counts = dict(zip(exact, bec_leaf_counts(eps, exact, delta)))
-    # Sampled depths share paths, drawn once when the first is reached.
-    deep = sorted({n for n in depths if n > MAX_LEAF_LIST_DEPTH})
-    sampled = None
-    out = []
+    counts = dict(zip(exact, bec_leaf_counts(eps, exact, delta)))
     for n in depths:
         if n < 0:
             raise ValueError(f"depth must be >= 0, got {n}")
-        if n <= MAX_LEAF_LIST_DEPTH:
-            good, bad = exact_counts[n]
-            total = 1 << n
-        else:
-            if mc_trials is None:
-                raise ResourceLimitError(
-                    f"depth {n} needs Monte Carlo sampling; pass mc_trials and seed")
-            if sampled is None:
-                counts = _mc_accumulate(mc_trials, seed, threads, deep[-1], (
-                    lambda packed, _: np.array([
-                        [(z <= delta).sum(), (z >= 1.0 - delta).sum()]
-                        for z in _bec_leaf_samples(packed, eps, deep)])))
-                sampled = dict(zip(deep, counts.tolist()))
-            good, bad = sampled[n]
-            total = mc_trials
+        if n > MAX_LEAF_LIST_DEPTH and mc_trials is None:
+            raise ResourceLimitError(
+                f"depth {n} needs Monte Carlo sampling; pass mc_trials and seed")
+    # Sampled depths share paths, drawn once.
+    deep = sorted({n for n in depths if n > MAX_LEAF_LIST_DEPTH})
+    if deep:
+        sampled = _mc_accumulate(mc_trials, seed, threads, deep[-1], (
+            lambda packed, _: np.array([
+                [(z <= delta).sum(), (z >= 1.0 - delta).sum()]
+                for z in _bec_leaf_samples(packed, eps, deep)])))
+        counts.update(zip(deep, sampled.tolist()))
+    out = []
+    for n in depths:
+        good, bad = counts[n]
+        total = 1 << n if n <= MAX_LEAF_LIST_DEPTH else mc_trials
         out.append(MeasureEstimate(
             depth=n, eps=eps, delta=delta,
             fraction_good=good / total, fraction_bad=bad / total,
@@ -294,6 +293,9 @@ def entropy_count(n: int, rho: Fraction | float | str) -> float:
     for rho >= 1/2."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if n > _MAX_ENTROPY_N:
+        raise ResourceLimitError(
+            f"entropy horizon capped at {_MAX_ENTROPY_N}, got {n}")
     rho = Fraction(rho)
     if not 0 <= rho <= 1:
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
@@ -448,9 +450,9 @@ def _never_negative_count(packed: np.ndarray, n: int) -> np.ndarray:
     """Number of packed rows whose walk over their first n bits (1 = up)
     never goes below 0, as a one-element array.  Walks go a byte at a time
     through ``_BYTE_WALKS``; dead rows are dropped after the first byte,
-    which about 3 in 4 do not survive, and then every 8 bytes."""
-    dtype = np.int32 if n < 1 << 31 else np.int64
-    pos = np.zeros(len(packed), dtype=dtype)
+    which about 3 in 4 do not survive, and then every 8 bytes.  A position
+    fits int32: ``_MAX_CHUNK_BYTES`` keeps n at most 2^28."""
+    pos = np.zeros(len(packed), dtype=np.int32)
     alive = np.ones(len(packed), dtype=bool)
     for col in range(-(-n // 8)):
         net, low = _BYTE_WALKS[min(8, n - 8 * col)]

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -43,10 +42,6 @@ _MAX_PASSES = 1 << 8
 _PAST_BINARY64 = "a root too close to 0 or 1 for binary64"
 
 
-class Certainty(Enum):
-    EXACT_BEC = "exact-bec"
-
-
 @dataclass(frozen=True)
 class FixedPointReport:
     interior: tuple[float, ...]
@@ -61,7 +56,7 @@ class FixedPointReport:
 class ThresholdResult:
     x: Fraction
     theta: float
-    certainty: Certainty
+    certainty: str  # always "exact-bec"
     multiplicity_flag: bool
 
 
@@ -146,10 +141,10 @@ def period_fixed_points(period: Sequence[int],
 @lru_cache(maxsize=_THRESHOLD_CACHE_SIZE)
 def _threshold_cached(x: Fraction) -> ThresholdResult:
     if is_dyadic(x):
-        return ThresholdResult(x, 1.0, Certainty.EXACT_BEC, False)
+        return ThresholdResult(x, 1.0, "exact-bec", False)
     spec = real_to_expansion(x)
     report = period_fixed_points(spec.period, spec.preamble)
-    return ThresholdResult(x, report.interior[-1], Certainty.EXACT_BEC,
+    return ThresholdResult(x, report.interior[-1], "exact-bec",
                            not report.interior_unique)
 
 

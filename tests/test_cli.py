@@ -22,7 +22,7 @@ from polarfractal.cli import _record, build_parser, main
 from polarfractal.codes import matrix_from_bytes
 from polarfractal.fractal import (CrossingRow, HeavyImplicationViolation,
                                   MeasureEstimate, ThresholdOrderViolation)
-from polarfractal.thresholds import Certainty, ThresholdResult
+from polarfractal.thresholds import ThresholdResult
 
 
 def run(argv):
@@ -390,6 +390,11 @@ class TestEntropy:
         n, count, h2 = lines[2].split(",")
         assert abs(float(count) - float(h2)) <= 0.02
 
+    def test_horizon_past_cap_exits_3(self, capsys):
+        assert run(["entropy", "--rho", "0", "--n", "100000000000"]) == (3, "")
+        assert capsys.readouterr().err.startswith(
+            "resource limit: entropy horizon capped at 1048576")
+
     def test_json_and_csv_carry_the_same_values(self):
         # 17 significant digits round-trip binary64, so both forms must
         # give back the same floats.
@@ -404,7 +409,7 @@ class TestEntropy:
 
 
 @pytest.mark.parametrize("record,want", [
-    (ThresholdResult(Fraction(2, 3), 0.5, Certainty.EXACT_BEC, False),
+    (ThresholdResult(Fraction(2, 3), 0.5, "exact-bec", False),
      [("x", "2/3"), ("theta", 0.5), ("certainty", "exact-bec"),
       ("multiplicity_flag", False)]),
     (MeasureEstimate(depth=3, eps=0.5, delta=0.01, fraction_good=0.25,
@@ -461,6 +466,14 @@ class TestContract:
         assert capsys.readouterr().err.startswith(
             "resource limit: a Monte Carlo chunk of 16384 paths")
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("command", [
+        "walk --n 5 --exhaustive --min-nonneg --trials 10 --seed 1",
+        "walk --n 2 --exhaustive --trials 10 --seed 1",
+        "selfsim --n 1 --samples 2 --seed 1 --rho 1/2"])
+    def test_flag_the_mode_ignores_is_a_usage_error(self, command, capsys):
+        assert run(command.split()) == (1, "")
+        assert capsys.readouterr().err.startswith("usage error: --")
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_nonpositive_threads_rejected(self, threads):

@@ -54,6 +54,14 @@ class TestMeasureScan:
         with pytest.raises(ResourceLimitError):
             fractal.measure_scan(0.5, [26], delta=1e-3)
 
+    def test_bad_depth_raises_before_the_draw(self, monkeypatch):
+        def drew(packed, n):
+            pytest.fail("paths were drawn before every depth was checked")
+
+        monkeypatch.setattr(fractal, "_step_major", drew)
+        with pytest.raises(ValueError, match="depth must be >= 0, got -1"):
+            fractal.measure_scan(0.3, [40, -1], mc_trials=3_000_000, seed=1)
+
     def test_monte_carlo_counts_match_exact_fractions(self, monkeypatch):
         # Sampled at enumerable depths against the exact leaf fractions,
         # each count within 5 binomial sigma.
@@ -196,6 +204,22 @@ class TestEntropyCount:
     def test_large_n(self):
         got = fractal.entropy_count(10**6, Fraction(3, 4))
         assert got == pytest.approx(fractal.binary_entropy(0.75), abs=1e-3)
+
+    def test_horizon_cap(self):
+        """At the cap, rho = 0 sums all n + 1 terms in about 40 MiB; past
+        it, the check fires before any array is made."""
+        n = fractal._MAX_ENTROPY_N
+        tracemalloc.start()
+        try:
+            got = fractal.entropy_count(n, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == pytest.approx(1.0, abs=1e-12)
+        assert peak < 48 << 20
+        for too_far in (n + 1, 10**11):
+            with pytest.raises(ResourceLimitError):
+                fractal.entropy_count(too_far, 0)
 
 
 def test_binary_entropy_values():
@@ -491,6 +515,28 @@ class TestChunkBudget:
         assert fractal.walk_min_nonnegative_fraction(n + 1, rows - 8, seed=1) > 0
         with pytest.raises(ResourceLimitError):
             fractal.walk_distribution((1 << 28) + 1, 1, seed=1)
+
+    @pytest.mark.parametrize("call", [
+        lambda: fractal.walk_distribution(8, 10**12, seed=1),
+        lambda: fractal.walk_min_nonnegative_fraction(8, 10**12, seed=1),
+        lambda: fractal.measure_scan(0.3, [40], mc_trials=10**12, seed=1)],
+        ids=["walk", "min_nonneg", "measure"])
+    def test_trials_past_chunk_cap_raise_before_any_draw(self, monkeypatch,
+                                                         call):
+        """10^12 trials are 61 million chunks, past the 2^14-chunk cap."""
+        def drew(key):
+            pytest.fail("paths were drawn past the chunk cap")
+
+        monkeypatch.setattr(np.random, "Philox", drew)
+        with pytest.raises(ResourceLimitError, match="exceed 16384 chunks"):
+            call()
+
+    def test_chunk_cap_boundary(self, monkeypatch):
+        monkeypatch.setattr(fractal, "_MAX_CHUNKS", 3)
+        trials = 3 * fractal._CHUNK_TRIALS
+        assert fractal.walk_min_nonnegative_fraction(8, trials, seed=1) > 0
+        with pytest.raises(ResourceLimitError):
+            fractal.walk_min_nonnegative_fraction(8, trials + 1, seed=1)
 
 
 class TestThreadCap:

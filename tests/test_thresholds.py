@@ -14,8 +14,7 @@ from polarfractal.codes import polar_index_set
 from polarfractal.errors import ResourceLimitError, TrivialPeriodError
 from polarfractal.expansions import Variant, is_dyadic, real_to_expansion
 from polarfractal.polarization import _apply_rows, apply_path
-from polarfractal.thresholds import (Certainty, period_fixed_points,
-                                     threshold_curve,
+from polarfractal.thresholds import (period_fixed_points, threshold_curve,
                                      threshold_estimate_batch,
                                      threshold_of_rational)
 
@@ -216,7 +215,7 @@ class TestThresholdOfRational:
     def test_golden_ratio(self):
         result = threshold_of_rational(Fraction(2, 3))
         assert result.theta == pytest.approx(GOLDEN, abs=1e-10)
-        assert result.certainty is Certainty.EXACT_BEC
+        assert result.certainty == "exact-bec"
         assert not result.multiplicity_flag
 
     def test_paper_triple(self):
