@@ -138,7 +138,7 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", type=int,
                    help="Monte Carlo trials for depths beyond 24")
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=_thread_count, default=1)
+    p.add_argument("--threads", type=_thread_count)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("selfsim", help="self-similarity order/implication checks")
@@ -163,7 +163,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int)
     p.add_argument("--min-nonneg", action="store_true",
                    help="report the never-negative walk fraction instead")
-    p.add_argument("--threads", type=_thread_count, default=1)
+    p.add_argument("--threads", type=_thread_count)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("entropy", help="entropy-count dimension witness")
@@ -226,11 +226,17 @@ def _cmd_construct(args, out) -> int:
 
 def _cmd_measure(args, out) -> int:
     depths = _parse_depths(args.depths)
+    deepest_exact = fractal.MAX_LEAF_LIST_DEPTH
+    if max(depths, default=0) <= deepest_exact and (
+            args.trials is not None or args.seed is not None
+            or args.threads is not None):
+        raise _UsageError("--trials, --seed and --threads apply only to "
+                          f"depths above {deepest_exact}")
     if args.trials is not None and args.seed is None:
         raise _UsageError("--seed is required with --trials")
     estimates = fractal.measure_scan(args.eps, depths, args.delta,
                                      mc_trials=args.trials, seed=args.seed,
-                                     threads=args.threads)
+                                     threads=args.threads or 1)
     if args.json:
         _print(out, json.dumps([_record(e) for e in estimates]))
     else:
@@ -279,17 +285,17 @@ def _cmd_selfsim(args, out) -> int:
     if len(cells) * args.samples > _SELFSIM_MAX_CHECKS:
         raise ResourceLimitError(
             f"selfsim checks capped at {_SELFSIM_MAX_CHECKS} (cells x --samples)")
+    if args.set == "threshold":
+        key = lambda x: thresholds.threshold_of_rational(x).theta  # noqa: E731
+    else:
+        key = functools.partial(codes.heavy_membership, rho=Fraction(args.rho))
     rng = random.Random(args.seed)
     checked = 0
     violations = []
     for k in cells:
         samples = _random_cell_samples(rng, args.n, k, args.samples)
         checked += len(samples)
-        if args.set == "threshold":
-            violations.extend(fractal.selfsim_threshold_check(samples, args.n, k))
-        else:
-            violations.extend(fractal.heavy_selfsim_check(
-                samples, Fraction(args.rho), args.n, k))
+        violations.extend(fractal.selfsim_check(samples, args.n, k, key))
     if args.json:
         _print(out, json.dumps({
             "set": args.set, "n": args.n, "checked": checked,
@@ -315,14 +321,15 @@ def _cmd_heavy(args, out) -> int:
 
 def _cmd_walk(args, out) -> int:
     if args.exhaustive and (args.min_nonneg or args.trials is not None
-                            or args.seed is not None):
-        raise _UsageError(
-            "--exhaustive takes none of --min-nonneg, --trials and --seed")
+                            or args.seed is not None
+                            or args.threads is not None):
+        raise _UsageError("--exhaustive takes none of --min-nonneg, --trials, "
+                          "--seed and --threads")
     if args.min_nonneg:
         if args.trials is None or args.seed is None:
             raise _UsageError("--min-nonneg requires --trials and --seed")
-        frac = fractal.walk_min_nonnegative_fraction(args.n, args.trials,
-                                                     args.seed, args.threads)
+        frac = fractal.walk_min_nonnegative_fraction(
+            args.n, args.trials, args.seed, args.threads or 1)
         if args.json:
             _print(out, json.dumps({"n": args.n, "trials": args.trials,
                                     "seed": args.seed,
@@ -342,7 +349,8 @@ def _cmd_walk(args, out) -> int:
     if args.trials is None or args.seed is None:
         raise _UsageError("walk needs --exhaustive or --trials with --seed")
     stats = fractal.walk_distribution(args.n, trials=args.trials,
-                                      seed=args.seed, threads=args.threads)
+                                      seed=args.seed,
+                                      threads=args.threads or 1)
     counts = sorted(stats.counts_by_crossings.items())
     if args.json:
         _print(out, json.dumps({

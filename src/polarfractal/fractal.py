@@ -20,11 +20,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .codes import heavy_membership
 from .errors import ResourceLimitError
-from .polarization import MAX_LEAF_LIST_DEPTH, _apply_rows, bec_leaf_counts
-from .thresholds import threshold_of_rational
 from .expansions import is_dyadic
+from .polarization import MAX_LEAF_LIST_DEPTH, _apply_rows, bec_leaf_counts
 
 # Fixed Monte Carlo chunk so results never depend on the thread count:
 # chunk i always draws from the Philox stream jumped by i.
@@ -38,7 +36,9 @@ _MAX_CHUNK_BYTES = 1 << 25
 # Most chunks one Monte Carlo run may take: 2^28 trials.
 _MAX_CHUNKS = 1 << 14
 
-_MAX_EXHAUSTIVE_WALK = 25
+# Largest exhaustive walk horizon: the int64 counts of
+# ``_exact_crossing_counts`` overflow at horizon 66.
+_MAX_EXHAUSTIVE_WALK = 65
 
 # Largest horizon of ``entropy_count``, whose float64 arrays of n terms
 # then peak near 40 MiB.
@@ -74,25 +74,18 @@ class WalkStats:
 
 
 @dataclass(frozen=True)
-class ThresholdOrderViolation:
+class SelfsimViolation:
+    """A sample x of cell k at depth n whose shifted points break the
+    order: ``left``, ``value`` and ``right`` are the key at the 0-shift,
+    at x and at the 1-shift."""
+
     x: Fraction
     n: int
     k: int
-    theta_left: float
-    theta: float
-    theta_right: float
+    left: float | bool
+    value: float | bool
+    right: float | bool
     defect: float
-
-
-@dataclass(frozen=True)
-class HeavyImplicationViolation:
-    x: Fraction
-    rho: Fraction
-    n: int
-    k: int
-    member_left: bool
-    member: bool
-    member_right: bool
 
 
 def _mc_accumulate(trials: int, seed: int, threads: int, n: int,
@@ -178,21 +171,21 @@ def measure_scan(eps: float, depths: Sequence[int], delta: float = 1e-3,
     pass that stops splitting a node once every leaf below it is sure to
     be good, or bad (``bec_leaf_counts``); beyond that paths are Monte
     Carlo sampled, which requires ``mc_trials`` and ``seed``.  Every depth
-    is checked before any path is drawn.  All sampled depths are read off
-    the same paths, so their rows are correlated.  The fractions trend
-    toward 1 - eps and eps.
+    is checked before any leaf is computed or path drawn.  All sampled
+    depths are read off the same paths, so their rows are correlated.
+    The fractions trend toward 1 - eps and eps.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    # Exact depths come from one pass, which also checks delta.
-    exact = [n for n in depths if 0 <= n <= MAX_LEAF_LIST_DEPTH]
-    counts = dict(zip(exact, bec_leaf_counts(eps, exact, delta)))
     for n in depths:
         if n < 0:
             raise ValueError(f"depth must be >= 0, got {n}")
         if n > MAX_LEAF_LIST_DEPTH and mc_trials is None:
             raise ResourceLimitError(
                 f"depth {n} needs Monte Carlo sampling; pass mc_trials and seed")
+    # Exact depths come from one pass, which also checks delta.
+    exact = [n for n in depths if n <= MAX_LEAF_LIST_DEPTH]
+    counts = dict(zip(exact, bec_leaf_counts(eps, exact, delta)))
     # Sampled depths share paths, drawn once.
     deep = sorted({n for n in depths if n > MAX_LEAF_LIST_DEPTH})
     if deep:
@@ -230,14 +223,16 @@ def cell_shift_pair(x: Fraction, n: int, k: int) -> tuple[Fraction, Fraction]:
     return (x + lo) / 2, (x + hi) / 2
 
 
-def selfsim_threshold_check(samples: Iterable[Fraction], n: int,
-                            k: int) -> list[ThresholdOrderViolation]:
-    """Check the threshold order behind the quasi self-similar inclusions.
+def selfsim_check(samples: Iterable[Fraction], n: int, k: int,
+                  key: Callable[[Fraction], float]) -> list[SelfsimViolation]:
+    """Check the order behind the quasi self-similar inclusions.
 
     For each non-dyadic x in the cell, inserting a 0 after the cell bits
-    must not raise the threshold and inserting a 1 must not lower it:
-    theta(left) <= theta(x) <= theta(right) within 1e-9.  Returns the
-    violations (expected: none).
+    must not raise the key and inserting a 1 must not lower it:
+    key(left) <= key(x) <= key(right) within 1e-9.  The key is the
+    threshold theta, or heavy-set membership as a bool (False < True),
+    for which the order is heavy(left) => heavy(x) => heavy(right).
+    Returns the violations (expected: none).
     """
     violations = []
     for x in samples:
@@ -245,37 +240,12 @@ def selfsim_threshold_check(samples: Iterable[Fraction], n: int,
         if is_dyadic(x):
             raise ValueError(f"samples must be non-dyadic, got {x}")
         left, right = cell_shift_pair(x, n, k)
-        theta = threshold_of_rational(x).theta
-        theta_left = threshold_of_rational(left).theta
-        theta_right = threshold_of_rational(right).theta
-        defect = max(theta_left - theta, theta - theta_right)
+        value, key_left, key_right = key(x), key(left), key(right)
+        defect = max(key_left - value, value - key_right)
         if defect > 1e-9:
-            violations.append(ThresholdOrderViolation(
-                x=x, n=n, k=k, theta_left=theta_left, theta=theta,
-                theta_right=theta_right, defect=defect))
-    return violations
-
-
-def heavy_selfsim_check(samples: Iterable[Fraction], rho: Fraction, n: int,
-                        k: int) -> list[HeavyImplicationViolation]:
-    """Check the heavy-set implication chain on exact walks.
-
-    Inserting a 0 after the cell bits can only hurt membership and
-    inserting a 1 can only help: heavy(left) => heavy(x) => heavy(right).
-    Returns the violations (expected: none).
-    """
-    rho = Fraction(rho)
-    violations = []
-    for x in samples:
-        x = Fraction(x)
-        left, right = cell_shift_pair(x, n, k)
-        member_left = heavy_membership(left, rho)
-        member = heavy_membership(x, rho)
-        member_right = heavy_membership(right, rho)
-        if (member_left and not member) or (member and not member_right):
-            violations.append(HeavyImplicationViolation(
-                x=x, rho=rho, n=n, k=k, member_left=member_left,
-                member=member, member_right=member_right))
+            violations.append(SelfsimViolation(
+                x=x, n=n, k=k, left=key_left, value=value, right=key_right,
+                defect=defect))
     return violations
 
 
@@ -338,13 +308,13 @@ def _exact_crossing_counts(horizon: int) -> dict[int, int]:
 def walk_distribution(n: int, trials: int | None = None,
                       seed: int | None = None, threads: int = 1) -> WalkStats:
     """Zero-crossing statistics of the walk w(b^m) - m/2 over length-n
-    strings, exhaustive (exact, n <= 25) or Monte Carlo sampled."""
+    strings, exhaustive (exact, n <= 65) or Monte Carlo sampled."""
     if n < 1:
         raise ValueError(f"horizon must be >= 1, got {n}")
     if trials is None:
         if n > _MAX_EXHAUSTIVE_WALK:
             raise ResourceLimitError(
-                f"exhaustive walk enumeration capped at horizon "
+                f"exhaustive walk counts capped at horizon "
                 f"{_MAX_EXHAUSTIVE_WALK}; pass trials/seed for Monte Carlo")
         counts = _exact_crossing_counts(n)
         return WalkStats(n=n, counts_by_crossings=counts, total=1 << n,

@@ -173,9 +173,11 @@ def test_criterion_12_selfsim_suites():
                 x = random_non_dyadic(rng, 300)
                 if lo < x < hi:
                     samples.append(x)
-            assert fractal.selfsim_threshold_check(samples, n, k) == []
+            assert fractal.selfsim_check(
+                samples, n, k, lambda x: threshold_of_rational(x).theta) == []
             for rho in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
-                assert fractal.heavy_selfsim_check(samples, rho, n, k) == []
+                assert fractal.selfsim_check(samples, n, k, functools.partial(
+                    heavy_membership, rho=rho)) == []
 
 
 @criterion(13, "figure data reproduction", 60.0)

@@ -20,8 +20,7 @@ import polarfractal
 from polarfractal import fractal
 from polarfractal.cli import _record, build_parser, main
 from polarfractal.codes import matrix_from_bytes
-from polarfractal.fractal import (CrossingRow, HeavyImplicationViolation,
-                                  MeasureEstimate, ThresholdOrderViolation)
+from polarfractal.fractal import CrossingRow, MeasureEstimate, SelfsimViolation
 from polarfractal.thresholds import ThresholdResult
 
 
@@ -296,21 +295,19 @@ class TestSelfsim:
         assert doc["violations"] == []
         assert doc["checked"] == 6
 
-    @pytest.mark.parametrize("argv,digest", [
+    @pytest.mark.parametrize("argv,digest,violation", [
         (["--n", "2", "--cell", "2", "--samples", "1", "--seed", "1"],
-         "361242e3416d19f9b3641f86c56a5989f2fe668aba94b9087605ac83d239e96e"),
+         "9c783e05688550f9e18b4b31534c16210db2dbdf3cdb631d58e592e2185ec6d4",
+         SelfsimViolation(Fraction(5, 12), 2, 2, 0.5, 0.25, 0.75, 0.25)),
         (["--n", "2", "--cell", "2", "--samples", "1", "--seed", "1",
           "--set", "heavy", "--rho", "1/2"],
-         "4c741aa4ee5a10da5029ab052943461f2cde539a64b2e3da2bba7d4f47ef81ac")])
-    def test_violation_json_is_pinned(self, argv, digest, monkeypatch):
-        # No sampled run finds a violation, so one of each kind is injected.
-        monkeypatch.setattr(fractal, "selfsim_threshold_check",
-                            lambda samples, n, k: [ThresholdOrderViolation(
-                                Fraction(5, 12), 2, 2, 0.5, 0.25, 0.75, 0.25)])
-        monkeypatch.setattr(fractal, "heavy_selfsim_check",
-                            lambda samples, rho, n, k: [HeavyImplicationViolation(
-                                Fraction(5, 12), Fraction(1, 2), 2, 2,
-                                True, False, True)])
+         "e1bf76fa5b77341ceca08e080e1f3c8580dbf67406f6d0798cc6e9989f32caf5",
+         SelfsimViolation(Fraction(5, 12), 2, 2, True, False, True, 1))])
+    def test_violation_json_is_pinned(self, argv, digest, violation,
+                                      monkeypatch):
+        # No sampled run finds a violation, so one of each key is injected.
+        monkeypatch.setattr(fractal, "selfsim_check",
+                            lambda samples, n, k, key: [violation])
         rc, out = run(["selfsim", *argv, "--json"])
         assert (rc, sha256(out.encode())) == (2, digest)
 
@@ -358,6 +355,14 @@ class TestWalk:
         assert lines[0] == "r,prob,closed_form,cumulative,bound,defect"
         assert len(lines) == 12
         assert all(line.rsplit(",", 1)[1] == "0" for line in lines[1:])
+
+    def test_exhaustive_at_the_horizon_cap(self, capsys):
+        rc, out = run(["walk", "--n", "32", "--exhaustive", "--json"])
+        assert rc == 0
+        assert [row["defect"] for row in json.loads(out)] == ["0"] * 33
+        assert run(["walk", "--n", "33", "--exhaustive"]) == (3, "")
+        assert capsys.readouterr().err.startswith(
+            "resource limit: exhaustive walk counts capped at horizon 65")
 
     def test_monte_carlo_table(self):
         rc, out = run(["walk", "--n", "40", "--trials", "5000", "--seed", "2"])
@@ -420,13 +425,12 @@ class TestEntropy:
                  cumulative=Fraction(1, 2), bound=2.5, defect=Fraction(1, 8)),
      [("r", 1), ("prob", "3/8"), ("closed_form", "1/4"),
       ("cumulative", "1/2"), ("bound", 2.5), ("defect", "1/8")]),
-    (ThresholdOrderViolation(Fraction(5, 12), 2, 2, 0.5, 0.25, 0.75, 0.25),
-     [("x", "5/12"), ("n", 2), ("k", 2), ("theta_left", 0.5),
-      ("theta", 0.25), ("theta_right", 0.75), ("defect", 0.25)]),
-    (HeavyImplicationViolation(Fraction(5, 12), Fraction(1, 2), 2, 2,
-                               True, False, True),
-     [("x", "5/12"), ("rho", "1/2"), ("n", 2), ("k", 2),
-      ("member_left", True), ("member", False), ("member_right", True)])])
+    (SelfsimViolation(Fraction(5, 12), 2, 2, 0.5, 0.25, 0.75, 0.25),
+     [("x", "5/12"), ("n", 2), ("k", 2), ("left", 0.5), ("value", 0.25),
+      ("right", 0.75), ("defect", 0.25)]),
+    (SelfsimViolation(Fraction(5, 12), 2, 2, True, False, True, 1),
+     [("x", "5/12"), ("n", 2), ("k", 2), ("left", True), ("value", False),
+      ("right", True), ("defect", 1)])])
 def test_record_gives_fields_in_order(record, want):
     assert list(_record(record).items()) == want
 
@@ -470,7 +474,10 @@ class TestContract:
     @pytest.mark.parametrize("command", [
         "walk --n 5 --exhaustive --min-nonneg --trials 10 --seed 1",
         "walk --n 2 --exhaustive --trials 10 --seed 1",
-        "selfsim --n 1 --samples 2 --seed 1 --rho 1/2"])
+        "selfsim --n 1 --samples 2 --seed 1 --rho 1/2",
+        "measure --eps 0.5 --depths 10 --trials 100 --seed 1",
+        "measure --eps 0.5 --depths 10 --threads 2",
+        "walk --n 12 --exhaustive --threads 4"])
     def test_flag_the_mode_ignores_is_a_usage_error(self, command, capsys):
         assert run(command.split()) == (1, "")
         assert capsys.readouterr().err.startswith("usage error: --")

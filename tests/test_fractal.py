@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -14,6 +15,15 @@ from polarfractal.codes import heavy_membership
 from polarfractal.errors import ResourceLimitError
 from polarfractal.expansions import is_dyadic
 from polarfractal.polarization import bec_leaf_values
+from polarfractal.thresholds import threshold_of_rational
+
+
+def theta(x):
+    return threshold_of_rational(x).theta
+
+
+def heavy(rho):
+    return functools.partial(heavy_membership, rho=rho)
 
 
 class TestMeasureScan:
@@ -61,6 +71,14 @@ class TestMeasureScan:
         monkeypatch.setattr(fractal, "_step_major", drew)
         with pytest.raises(ValueError, match="depth must be >= 0, got -1"):
             fractal.measure_scan(0.3, [40, -1], mc_trials=3_000_000, seed=1)
+
+    def test_bad_depth_raises_before_the_exact_pass(self, monkeypatch):
+        def counted(*args):
+            pytest.fail("leaves were computed before every depth was checked")
+
+        monkeypatch.setattr(fractal, "bec_leaf_counts", counted)
+        with pytest.raises(ValueError, match="depth must be >= 0, got -1"):
+            fractal.measure_scan(0.5, [24, -1], 1e-300)
 
     def test_monte_carlo_counts_match_exact_fractions(self, monkeypatch):
         # Sampled at enumerable depths against the exact leaf fractions,
@@ -124,7 +142,7 @@ class TestSelfSimThreshold:
         # Inserting a bit at the front of 1/3 gives 1/6 and 2/3.
         left, right = fractal.cell_shift_pair(Fraction(1, 3), 0, 1)
         assert (left, right) == (Fraction(1, 6), Fraction(2, 3))
-        assert fractal.selfsim_threshold_check([Fraction(1, 3)], 0, 1) == []
+        assert fractal.selfsim_check([Fraction(1, 3)], 0, 1, theta) == []
 
     def test_random_corpus_no_violations(self):
         rng = random.Random(606)
@@ -137,11 +155,28 @@ class TestSelfSimThreshold:
                     if is_dyadic(x) or not lo < x < hi:
                         continue
                     samples.append(x)
-                assert fractal.selfsim_threshold_check(samples, n, k) == []
+                assert fractal.selfsim_check(samples, n, k, theta) == []
 
     def test_rejects_dyadic_sample(self):
-        with pytest.raises(ValueError):
-            fractal.selfsim_threshold_check([Fraction(1, 4)], 1, 1)
+        for key in (theta, heavy(Fraction(1, 2))):
+            with pytest.raises(ValueError, match="non-dyadic"):
+                fractal.selfsim_check([Fraction(1, 4)], 1, 1, key)
+
+    def test_violation_record(self):
+        # A key that falls along the cell breaks the order at every sample.
+        assert fractal.selfsim_check([Fraction(1, 3)], 0, 1, lambda x: -x) == [
+            fractal.SelfsimViolation(Fraction(1, 3), 0, 1, Fraction(-1, 6),
+                                     Fraction(-1, 3), Fraction(-2, 3),
+                                     Fraction(1, 3))]
+
+    def test_defect_slack(self):
+        # Key values at 0-shift, x and 1-shift: 1/6, 1/3 and 2/3.
+        x = Fraction(1, 3)
+        step = {Fraction(1, 6): 0.5 + 1e-9, x: 0.5, Fraction(2, 3): 0.5}
+        assert fractal.selfsim_check([x], 0, 1, step.get) == []
+        step[Fraction(1, 6)] = 0.5 + 2e-9
+        violation, = fractal.selfsim_check([x], 0, 1, step.get)
+        assert violation.defect == pytest.approx(2e-9)
 
 
 class TestSelfSimHeavy:
@@ -150,19 +185,27 @@ class TestSelfSimHeavy:
         left, right = fractal.cell_shift_pair(Fraction(2, 3), 1, 2)
         assert right == Fraction(5, 6)
         assert heavy_membership(Fraction(5, 6), Fraction(1, 2))
-        assert fractal.heavy_selfsim_check([Fraction(2, 3)], Fraction(1, 2),
-                                           1, 2) == []
+        assert fractal.selfsim_check([Fraction(2, 3)], 1, 2,
+                                     heavy(Fraction(1, 2))) == []
 
     def test_one_third_vacuous(self):
         left, _ = fractal.cell_shift_pair(Fraction(1, 3), 1, 1)
         assert left == Fraction(1, 6)
         assert not heavy_membership(Fraction(1, 6), Fraction(1, 2))
-        assert fractal.heavy_selfsim_check([Fraction(1, 3)], Fraction(1, 2),
-                                           1, 1) == []
+        assert fractal.selfsim_check([Fraction(1, 3)], 1, 1,
+                                     heavy(Fraction(1, 2))) == []
 
     def test_rho_zero_trivial(self):
         samples = [Fraction(1, 3), Fraction(2, 5), Fraction(1, 7)]
-        assert fractal.heavy_selfsim_check(samples, Fraction(0), 1, 1) == []
+        assert fractal.selfsim_check(samples, 1, 1, heavy(Fraction(0))) == []
+
+    def test_membership_violation_record(self):
+        # Bools subtract as 0 and 1: x and its 0-shift are members, the
+        # 1-shift is not, so the defect is 1.
+        below_half = lambda x: x < Fraction(1, 2)  # noqa: E731
+        assert fractal.selfsim_check([Fraction(1, 3)], 0, 1, below_half) == [
+            fractal.SelfsimViolation(Fraction(1, 3), 0, 1, True, True, False,
+                                     1)]
 
     def test_random_corpus(self):
         rng = random.Random(19)
@@ -172,10 +215,10 @@ class TestSelfSimHeavy:
                 samples = []
                 while len(samples) < 20:
                     x = Fraction(rng.randrange(1, 500), rng.randrange(3, 500))
-                    if not lo < x < hi:
+                    if is_dyadic(x) or not lo < x < hi:
                         continue
                     samples.append(x)
-                assert fractal.heavy_selfsim_check(samples, rho, 1, k) == []
+                assert fractal.selfsim_check(samples, 1, k, heavy(rho)) == []
 
 
 class TestEntropyCount:
@@ -286,9 +329,16 @@ class TestWalkDistribution:
         assert sum(stats.probability(r) for r in range(4)) == 1
         assert (1 << 7) % stats.probability(0).denominator == 0
 
+    def test_exhaustive_at_the_horizon_cap_matches_closed_form(self):
+        stats = fractal.walk_distribution(65)
+        assert stats.total == sum(stats.counts_by_crossings.values()) == 1 << 65
+        assert all(stats.probability(r)
+                   == fractal.crossing_count_closed_form(65, r)
+                   for r in range(34))
+
     def test_exhaustive_horizon_cap(self):
         with pytest.raises(ResourceLimitError):
-            fractal.walk_distribution(26)
+            fractal.walk_distribution(66)
 
     def test_monte_carlo_needs_seed(self):
         with pytest.raises(ValueError):
