@@ -76,8 +76,10 @@ def _record(obj) -> dict:
 
 
 def _parse_depths(text: str) -> list[int]:
+    """Comma-separated integers; an empty token (so an empty list too) is
+    a usage error."""
     try:
-        return [int(tok) for tok in text.split(",") if tok != ""]
+        return [int(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise _UsageError(f"bad integer list {text!r}") from exc
 
@@ -287,8 +289,11 @@ def _cmd_selfsim(args, out) -> int:
             f"selfsim checks capped at {_SELFSIM_MAX_CHECKS} (cells x --samples)")
     if args.set == "threshold":
         key = lambda x: thresholds.threshold_of_rational(x).theta  # noqa: E731
+        head = {"set": args.set}
     else:
-        key = functools.partial(codes.heavy_membership, rho=Fraction(args.rho))
+        rho = Fraction(args.rho)
+        key = functools.partial(codes.heavy_membership, rho=rho)
+        head = {"set": args.set, "rho": str(rho)}
     rng = random.Random(args.seed)
     checked = 0
     violations = []
@@ -298,7 +303,7 @@ def _cmd_selfsim(args, out) -> int:
         violations.extend(fractal.selfsim_check(samples, args.n, k, key))
     if args.json:
         _print(out, json.dumps({
-            "set": args.set, "n": args.n, "checked": checked,
+            **head, "n": args.n, "checked": checked,
             "violations": [_record(v) for v in violations]}))
     else:
         _print(out, f"checked = {checked}")

@@ -10,13 +10,14 @@ for the quasi self-similar inclusions.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,8 +30,9 @@ from .polarization import MAX_LEAF_LIST_DEPTH, _apply_rows, bec_leaf_counts
 _CHUNK_TRIALS = 1 << 14
 
 # Largest chunk of packed paths (rows x bytes per row) one draw may make:
-# 16384 paths of 16384 steps.  The folds read a chunk 64 steps at a time,
-# so one worker holds at most about 45 MiB at this budget.
+# 16384 paths of 16384 steps, 32 MiB.  The folds read a chunk a byte of
+# steps at a time, in temporaries of at most about 1 MiB, so a run holds
+# the chunk it folds and at most one more per drawing thread.
 _MAX_CHUNK_BYTES = 1 << 25
 
 # Most chunks one Monte Carlo run may take: 2^28 trials.
@@ -96,8 +98,11 @@ def _mc_accumulate(trials: int, seed: int, threads: int, n: int,
     bits (most significant first), with the little-endian bytes of the raw
     64-bit outputs of the Philox stream jumped by i from the seed key
     (the bytes ``Generator.integers(0, 256, dtype=np.uint8)`` gives), so
-    the total is the same bit for bit whatever ``threads``.  No more
-    threads than chunks or usable CPUs are started, and a chunk above
+    the total is the same bit for bit whatever ``threads``.  The calling
+    thread folds every chunk, in chunk order, while min(threads, chunks,
+    usable CPUs) - 1 pool threads draw the chunks after it (a draw holds
+    no GIL); at most that many chunks are drawn and not yet folded, and
+    no pool is started when that is none.  A chunk above
     ``_MAX_CHUNK_BYTES`` or more than ``_MAX_CHUNKS`` chunks raise
     ``ResourceLimitError`` before any draw.
     """
@@ -116,29 +121,56 @@ def _mc_accumulate(trials: int, seed: int, threads: int, n: int,
             f"{trials} Monte Carlo trials exceed {_MAX_CHUNKS} chunks of "
             f"{_CHUNK_TRIALS} paths; lower the trials")
 
-    def run(i: int) -> np.ndarray:
+    def draw(i: int) -> np.ndarray:
         count = min(_CHUNK_TRIALS, trials - i * _CHUNK_TRIALS)
         size = count * width
         raw = np.random.Philox(key=seed).jumped(i).random_raw(-(-size // 8))
         packed = raw.astype("<u8", copy=False).view(np.uint8)[:size]
-        return fold(packed.reshape(count, width), n)
+        return packed.reshape(count, width)
 
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    workers = min(threads, chunks, cpus)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return functools.reduce(np.add, pool.map(run, range(chunks)))
-    return functools.reduce(np.add, map(run, range(chunks)))
+    ahead = min(threads, chunks, cpus) - 1
+    if ahead < 1:
+        return functools.reduce(np.add, (fold(draw(i), n)
+                                         for i in range(chunks)))
+
+    def drawn_ahead(pool: ThreadPoolExecutor) -> Iterator[np.ndarray]:
+        pending = collections.deque(pool.submit(draw, i) for i in range(ahead))
+        for i in range(ahead, chunks + ahead):
+            packed = pending.popleft().result()
+            if i < chunks:
+                pending.append(pool.submit(draw, i))
+            yield packed
+
+    with ThreadPoolExecutor(max_workers=ahead) as pool:
+        return functools.reduce(np.add, (fold(packed, n)
+                                         for packed in drawn_ahead(pool)))
 
 
-def _step_major(packed: np.ndarray, n: int) -> np.ndarray:
-    """The first n steps of packed paths as an (n, paths) 0/1 array (by
-    shifts of the transposed bytes: transposing unpacked bits is slower)."""
-    cols = np.ascontiguousarray(packed.T)
-    bits = cols[:, None, :] >> np.arange(7, -1, -1, dtype=np.uint8)[:, None]
-    bits &= 1
-    return bits.reshape(-1, packed.shape[0])[:n]
+# Bit shifts that take a byte's steps out most significant first.
+_STEP_SHIFTS = np.arange(7, -1, -1, dtype=np.uint8)[:, None]
+
+
+def _byte_planes(packed: np.ndarray, columns: int,
+                 planes: np.ndarray) -> Iterator[int]:
+    """Yield each of the first ``columns`` byte columns c of packed paths
+    once its 8 steps, most significant first, fill ``planes[:8]``, one
+    uint8 0/1 row per step.  A ninth row of ``planes``, if any, gets the
+    first step of column c + 1, where there is one.  The bytes are copied
+    step-major 8 columns (and the one after) at a time into one buffer, as
+    a column of the row-major chunk is slow to read, and a whole chunk is
+    never copied."""
+    slab = np.empty((min(9, packed.shape[1]), len(packed)), dtype=np.uint8)
+    for start in range(0, columns, 8):
+        copied = min(9, packed.shape[1] - start)
+        np.copyto(slab[:copied], packed[:, start:start + copied].T)
+        for col in range(start, min(start + 8, columns)):
+            np.right_shift(slab[col - start], _STEP_SHIFTS, out=planes[:8])
+            np.bitwise_and(planes[:8], 1, out=planes[:8])
+            if len(planes) > 8 and col + 1 - start < copied:
+                np.right_shift(slab[col + 1 - start], 7, out=planes[8])
+            yield col
 
 
 def _bec_leaf_samples(packed: np.ndarray, eps: float,
@@ -146,19 +178,23 @@ def _bec_leaf_samples(packed: np.ndarray, eps: float,
     """z at each of the increasing ``depths`` along the packed paths, a
     1 bit being the better step z -> z^2 and a 0 bit z -> z(2 - z), by the
     signed step of ``polarization._apply_rows``, which returns |s| and so
-    restarts positive at each depth.  Bits are unpacked 64 steps at a
-    time, so deep paths stay packed."""
+    restarts positive at each call.  Steps are unpacked a byte at a time,
+    so deep paths stay packed, and the walk stops once every z is 0.0 or
+    1.0, which both maps fix, checked every 64 steps."""
     z = np.full(packed.shape[0], eps)
+    planes = np.empty((8, packed.shape[0]), dtype=np.uint8)
     out = []
-    for start in range(0, depths[-1], 64):
-        stop = min(start + 64, depths[-1])
-        bits = _step_major(packed[:, start // 8:start // 8 + 8], stop - start)
+    for col in _byte_planes(packed, -(-depths[-1] // 8), planes):
+        start = 8 * col
+        stop = min(start + 8, depths[-1])
         cuts = [t for t in depths if start < t < stop] + [stop]
         for a, b in zip([start] + cuts, cuts):
-            z = _apply_rows(z, bits[a - start:b - start])
+            z = _apply_rows(z, planes[a - start:b - start])
             if b in depths:
                 out.append(z)
-    return out
+        if col % 8 == 7 and ((z == 0.0) | (z == 1.0)).all():
+            break
+    return out + [z] * (len(depths) - len(out))
 
 
 def measure_scan(eps: float, depths: Sequence[int], delta: float = 1e-3,
@@ -330,19 +366,24 @@ def _crossing_counts(packed: np.ndarray, n: int) -> np.ndarray:
     """Histogram (n//2 + 2 bins) of the zero crossings of the walks given
     by the first n bits of the packed rows, 1 = up.  A walk is 0 only
     after 2k steps, k of them up, and then crosses at step 2k + 1 exactly
-    when that step repeats step 2k.  Bits are unpacked 64 steps (and the
-    one step more that the last pair reads) at a time."""
+    when that step repeats step 2k.  Steps are unpacked a byte at a time,
+    its four step pairs and the first step of the next byte."""
     half = (n - 1) // 2
-    ones, crossings = np.zeros((2, len(packed)),
-                               dtype=np.int16 if n < 1 << 15 else np.int64)
-    for start in range(0, 2 * half, 64):
-        count = min(64, 2 * half - start)
-        bits = _step_major(packed[:, start // 8:start // 8 + 9], count + 1)
-        ups = bits[0:count:2] + bits[1:count:2]
-        repeat = bits[2:count + 1:2] == bits[1:count:2]
-        for k, (up, rep) in enumerate(zip(ups, repeat), start // 2 + 1):
-            ones += up
-            crossings += (ones == k) & rep
+    rows = len(packed)
+    dtype = np.int16 if n < 1 << 15 else np.int64
+    ones, crossings = np.zeros((2, rows), dtype=dtype)
+    planes = np.zeros((9, rows), dtype=np.uint8)
+    ups = np.empty((4, rows), dtype=np.uint8)
+    repeat = np.empty((4, rows), dtype=bool)
+    hit = np.empty(rows, dtype=bool)
+    for col in _byte_planes(packed, -(-half // 4), planes):
+        np.add(planes[0:8:2], planes[1:8:2], out=ups)
+        np.equal(planes[2:9:2], planes[1:8:2], out=repeat)
+        for p in range(min(4, half - 4 * col)):
+            ones += ups[p]
+            np.equal(ones, 4 * col + p + 1, out=hit)
+            hit &= repeat[p]
+            crossings += hit
     return np.bincount(crossings, minlength=n // 2 + 2)
 
 

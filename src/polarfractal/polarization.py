@@ -82,21 +82,17 @@ def _apply_rows(v: np.ndarray, bits: np.ndarray) -> np.ndarray:
     z = v: s = +-z goes to s * (D - s), ``apply_path``'s products up to an
     exact sign, with D = 0 for a 1 bit (-(z * z)) and 2 with the sign of s
     for a 0 bit (z * (2 - z)): 2 (1 - b[j]) (1 - 2 b[j-1]), made in int8
-    (faster than masked assignment).  Both maps fix 0.0 and 1.0, so the
-    walk stops once every |s| is one of them, checked at bit 16, 32, 64..."""
+    (faster than masked assignment) and subtracted a row at a time, as
+    int8 to float64 is exact, so no float64 matrix of steps is made."""
     b = np.ascontiguousarray(bits, dtype=np.int8)
     d = 1 - b
     d[0] *= 2
     d[1:] *= 2 - 4 * b[:-1]
     s = v.copy()
     t = np.empty_like(s)
-    for j, dj in enumerate(d.astype(np.float64), 1):
+    for dj in d:
         np.subtract(dj, s, out=t)
         np.multiply(s, t, out=s)
-        if j >= 16 and j & (j - 1) == 0:
-            a = np.abs(s, out=t)
-            if ((a == 0.0) | (a == 1.0)).all():
-                break
     return np.abs(s, out=s)
 
 

@@ -212,6 +212,26 @@ class TestConstruct:
         assert capsys.readouterr().err == f"error: depth must be >= 0, got {n}\n"
 
 
+@pytest.mark.parametrize("command", [
+    "measure --eps 0.5 --depths ,",
+    "entropy --rho 1/2 --n ,",
+    "measure --eps 0.5 --depths 10,,12"])
+def test_empty_integer_token_is_a_usage_error(command, capsys):
+    assert run(command.split()) == (1, "")
+    assert capsys.readouterr().err == (
+        f"usage error: bad integer list {command.split()[-1]!r}\n")
+
+
+def test_heavy_selfsim_json_names_its_rho():
+    rc, out = run(["selfsim", "--n", "1", "--samples", "2", "--seed", "1",
+                   "--set", "heavy", "--rho", "0.75", "--json"])
+    assert (rc, list(json.loads(out))[:2]) == (0, ["set", "rho"])
+    assert json.loads(out)["rho"] == "3/4"
+    rc, out = run(["selfsim", "--n", "1", "--samples", "2", "--seed", "1",
+                   "--json"])
+    assert "rho" not in json.loads(out)
+
+
 @pytest.mark.parametrize("argv", [
     ["plot-fractal", "-m", "2", "-o"],
     ["construct", "rm", "--n", "3", "--r", "1", "--matrix-out"]])
@@ -301,7 +321,7 @@ class TestSelfsim:
          SelfsimViolation(Fraction(5, 12), 2, 2, 0.5, 0.25, 0.75, 0.25)),
         (["--n", "2", "--cell", "2", "--samples", "1", "--seed", "1",
           "--set", "heavy", "--rho", "1/2"],
-         "e1bf76fa5b77341ceca08e080e1f3c8580dbf67406f6d0798cc6e9989f32caf5",
+         "3a66730432767c1ea5a9f23ff5b9af48fd3d80af22dd508f98b386558f12489b",
          SelfsimViolation(Fraction(5, 12), 2, 2, True, False, True, 1))])
     def test_violation_json_is_pinned(self, argv, digest, violation,
                                       monkeypatch):
@@ -563,7 +583,7 @@ GOLDEN_STDOUT = {
     "selfsim --n 2 --samples 10 --seed 13 --json":
         "283f48872cae866fc28bd3bb7e166b9a7b6fd141fb04f027a4de1a7f90e15c28",
     "selfsim --n 3 --samples 5 --seed 2 --set heavy --rho 1/2 --json":
-        "1ea3f5e399a296bb17bca11399461b742e946def4a825d991f9b368b55903c99",
+        "dc411f4082e00e71aca62faefec1a504d2571d07d691e649c4e98bcecc32aad2",
     "heavy 2/3 --rho 1/2 --json":
         "33acd92f4cf40f1257e28c25ed06c0a876a2b63b460d66e1f5fb04459f3e9d9f",
     "plot-fractal -m 6 -o":

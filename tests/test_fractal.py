@@ -2,8 +2,11 @@ import functools
 import itertools
 import math
 import random
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from polarfractal import fractal
 from polarfractal.codes import heavy_membership
 from polarfractal.errors import ResourceLimitError
 from polarfractal.expansions import is_dyadic
-from polarfractal.polarization import bec_leaf_values
+from polarfractal.polarization import _apply_rows, bec_leaf_values
 from polarfractal.thresholds import threshold_of_rational
 
 
@@ -65,10 +68,10 @@ class TestMeasureScan:
             fractal.measure_scan(0.5, [26], delta=1e-3)
 
     def test_bad_depth_raises_before_the_draw(self, monkeypatch):
-        def drew(packed, n):
+        def drew(key):
             pytest.fail("paths were drawn before every depth was checked")
 
-        monkeypatch.setattr(fractal, "_step_major", drew)
+        monkeypatch.setattr(np.random, "Philox", drew)
         with pytest.raises(ValueError, match="depth must be >= 0, got -1"):
             fractal.measure_scan(0.3, [40, -1], mc_trials=3_000_000, seed=1)
 
@@ -517,6 +520,29 @@ class TestPackedFolds:
                 saturated |= {0.0, 1.0} & set(z.tolist())
         assert saturated == {0.0, 1.0}
 
+    def test_saturated_paths_stop_at_the_next_64_steps(self, monkeypatch):
+        """From eps = 1e-300 every random path is at 0.0 within 64 steps
+        (a 1 bit before step 458 underflows), so the walk stops there and
+        every deeper depth gets those zeros; without the stop, 300
+        steps."""
+        steps = []
+
+        def counted(v, bits):
+            steps.append(len(bits))
+            return _apply_rows(v, bits)
+
+        packed = packed_rows(9, 400, 300)[6:]  # no all-down row
+        monkeypatch.setattr(fractal, "_apply_rows", counted)
+        got = fractal._bec_leaf_samples(packed, 1e-300, [30, 70, 300])
+        assert sum(steps) == 64
+        assert [z.tolist() for z in got[1:]] == [[0.0] * len(packed)] * 2
+        bits = np.unpackbits(packed, axis=1, count=30) == 1
+        z = np.full(len(packed), 1e-300)
+        for bit in bits.T:
+            z = np.where(bit, z * z, z * (2.0 - z))
+        assert ([v.hex() for v in got[0].tolist()]
+                == [v.hex() for v in z.tolist()])
+
 
 class TestChunkStream:
     @pytest.mark.parametrize("seed", [1, 5, 2**40 + 3])
@@ -555,6 +581,27 @@ class TestChunkBudget:
         assert counts.sum() == 1 << 14
         assert peak < 16 << 20
 
+    @pytest.mark.parametrize("fold,n", [
+        (lambda packed: fractal._bec_leaf_samples(packed, 0.3, [26, 30, 40]),
+         40),
+        (lambda packed: fractal._crossing_counts(packed, 301), 301)],
+        ids=["measure-depth-40", "crossings-301"])
+    def test_fold_temporaries_are_a_few_planes(self, fold, n):
+        """A fold of one 2^14-row chunk unpacks a byte (8 bit-planes of
+        16 KiB) at a time and subtracts int8 step rows: with z and its
+        samples it peaks under 1.5 MiB.  Unpacking 64 steps at a time and
+        a float64 matrix of the 40 steps took 5.1 MiB at depth 40 and
+        3.5 MiB at n = 301."""
+        packed = packed_rows(n, 1 << 14, n)
+        fold(packed)
+        tracemalloc.start()
+        try:
+            fold(packed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 << 19
+
     def test_largest_chunk_runs_and_one_more_byte_raises(self):
         """The budget, 2^25 packed bytes, is 2^14 paths of 16384 steps."""
         rows, n = 1 << 14, 16384
@@ -589,11 +636,61 @@ class TestChunkBudget:
             fractal.walk_min_nonnegative_fraction(8, trials + 1, seed=1)
 
 
+class TestDrawAhead:
+    @pytest.mark.parametrize("threads,used", [(1, 1), (2, 2), (3, 3), (8, 5)])
+    def test_calling_thread_folds_in_chunk_order(self, monkeypatch, threads,
+                                                 used):
+        """Five chunks on a host that reports 64 CPUs: every fold runs in
+        the calling thread, gets chunk 0, 1, 2, ... (told apart by their
+        first paths), and finds used - 1 chunks drawn past it, or all that
+        are left, however long it waits for more."""
+        monkeypatch.setattr(fractal.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(fractal.os, "sched_getaffinity",
+                            lambda pid: set(range(64)), raising=False)
+        seed, chunks, real = 3, 5, np.random.Philox
+        drawn = []
+
+        def philox(key):
+            def jumped(i):
+                stream = real(key=key).jumped(i)
+
+                def random_raw(size):
+                    raw = stream.random_raw(size)
+                    drawn.append(i)
+                    return raw
+                return SimpleNamespace(random_raw=random_raw)
+            return SimpleNamespace(jumped=jumped)
+
+        caller, seen, ahead = threading.get_ident(), [], []
+
+        def fold(packed, n):
+            i = len(seen)
+            want = real(key=seed).jumped(i).random_raw(1).astype("<u8")
+            seen.append(threading.get_ident() == caller
+                        and np.array_equal(packed[0], want.view(np.uint8)))
+            due = min(i + used, chunks)
+            deadline = time.monotonic() + 5.0
+            while len(drawn) < due and time.monotonic() < deadline:
+                time.sleep(0.001)
+            time.sleep(0.02)  # room for a draw too many to show
+            ahead.append(len(drawn) - (i + 1))
+            return np.ones(1, dtype=np.int64)
+
+        monkeypatch.setattr(np.random, "Philox", philox)
+        trials = (chunks - 1) * fractal._CHUNK_TRIALS + 5
+        total = fractal._mc_accumulate(trials, seed, threads, 64, fold)
+        assert total.tolist() == [chunks]
+        assert seen == [True] * chunks
+        assert ahead == [min(used - 1, chunks - 1 - i) for i in range(chunks)]
+
+
 class TestThreadCap:
     @pytest.fixture
     def pools(self, monkeypatch):
         """Record the max_workers of every pool started, on a host that
-        reports 64 CPUs unless a test says otherwise."""
+        reports 64 CPUs unless a test says otherwise.  A run on ``used``
+        threads starts a pool of used - 1 drawing threads (the calling
+        thread folds), so none when it uses one."""
         sizes = []
         real = fractal.ThreadPoolExecutor
 
@@ -615,10 +712,10 @@ class TestThreadCap:
         assert pools == []
         got = fractal.walk_min_nonnegative_fraction(30, trials, seed=2,
                                                     threads=threads)
-        assert pools == [used]
+        assert pools == [used - 1]
         assert got == want
 
-    @pytest.mark.parametrize("cpus,used", [({0}, []), ({0, 3}, [2])])
+    @pytest.mark.parametrize("cpus,used", [({0}, []), ({0, 3}, [1])])
     def test_capped_at_cpu_affinity(self, pools, monkeypatch, cpus, used):
         """64 CPUs, of which the process may run on ``cpus``."""
         monkeypatch.setattr(fractal.os, "sched_getaffinity", lambda pid: cpus,
